@@ -1,7 +1,7 @@
 """Exact Turan expressions for polynomial sequences and weak Hurwitz
 stability certificates, all in rational arithmetic."""
 
-from .polycore import Poly, Rational, gcd, rational, squarefree_part
+from .polycore import Poly, gcd, squarefree_part
 from .sequences import SequenceSpec, generate, spec, verify_relation
 from .stability import (
     SplitPoly,
@@ -29,8 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poly",
-    "Rational",
-    "rational",
     "gcd",
     "squarefree_part",
     "SequenceSpec",

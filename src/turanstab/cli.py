@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from . import expressions, harness, sequences, stability
+from . import harness, sequences, stability
+from .expressions import ExprRequest, build_expression
 from .harness import DEFAULT_SEED, CampaignConfig, TIER_LIMITS
 from .polycore import Poly
 from .sequences import SequenceSpec
@@ -29,19 +31,19 @@ def _parse_spec(args) -> SequenceSpec:
     kwargs = {}
     if family == "jensen":
         if not args.gamma:
-            raise SystemExit("jensen requires --gamma")
+            raise ValueError("jensen requires --gamma")
         kwargs["gamma"] = [Fraction(v) for v in args.gamma.split(",")]
     elif family in ("type_a", "type_h"):
         if not args.params:
-            raise SystemExit(f"{family} requires --params")
+            raise ValueError(f"{family} requires --params")
         values = [Fraction(v) for v in args.params.split(",")]
         if family == "type_a":
             if len(values) < 3:
-                raise SystemExit("type_a params: a,b,c0[,c1,...]")
+                raise ValueError("type_a params: a,b,c0[,c1,...]")
             kwargs.update(a=values[0], b=values[1], c=values[2:])
         else:
             if len(values) != 3:
-                raise SystemExit("type_h params: a,b,c")
+                raise ValueError("type_h params: a,b,c")
             kwargs.update(a=values[0], b=values[1], cscale=values[2])
     return sequences.spec(family, **kwargs)
 
@@ -65,11 +67,9 @@ def cmd_turan(args) -> int:
     spec = _parse_spec(args)
     n = args.n or 1
     seq = sequences.generate(spec, 2 * n + args.k)
-    expr = expressions.extended_turan(seq, args.k, n)
-    if args.reflect:
-        expr = expr.compose_linear(-1, 0)
-    if args.shift:
-        expr = expr.compose_linear(1, Fraction(args.shift))
+    req = ExprRequest("extended_turan", args.k, n, args.reflect,
+                      Fraction(args.shift or 0))
+    expr = build_expression(req, seq)
     if args.format == "json":
         print(json.dumps({"family": spec.family, "k": args.k, "n": n,
                           "coeffs": expr.to_text()}))
@@ -81,7 +81,7 @@ def cmd_turan(args) -> int:
 def cmd_stability(args) -> int:
     poly = Poly.from_text(args.poly)
     if poly.is_zero:
-        raise SystemExit("the zero polynomial has no stability verdict")
+        raise ValueError("the zero polynomial has no stability verdict")
     cert = stability.is_weakly_hurwitz(poly)
     if args.certificate:
         print(json.dumps(cert.summary()))
@@ -91,13 +91,16 @@ def cmd_stability(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        raise OSError(f"cannot write report to {args.out}: no directory {out_dir}")
     spec = _parse_spec(args)
     cfg = CampaignConfig(
         family=spec,
         k_max=args.k_max,
         n_max=args.n_max,
         reflect=args.reflect,
-        shift=Fraction(args.shift) if args.shift else Fraction(0),
+        shift=Fraction(args.shift or 0),
         jobs=args.jobs,
         tier=args.tier,
     )
@@ -195,8 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # bad input: one stderr line, and argparse's usage-error exit code
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

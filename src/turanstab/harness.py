@@ -21,6 +21,7 @@ from math import factorial
 from typing import Callable
 
 from . import expressions, polycore, sequences, stability
+from .expressions import ExprRequest, build_expression
 from .polycore import Poly
 from .sequences import POLAR_SCALED, POLAR_UNIT, SequenceSpec
 from .stability import (
@@ -80,12 +81,8 @@ class ReportRecord:
 
 def _default_builder(window: list[Poly], n: int, reflect: bool, shift) -> Poly:
     # window holds P_k .. P_{k+2n}, so the extended expression sits at index 0
-    expr = expressions.extended_turan(window, 0, n)
-    if reflect:
-        expr = expr.compose_linear(-1, 0)
-    if shift:
-        expr = expr.compose_linear(1, Fraction(shift))
-    return expr
+    req = ExprRequest("extended_turan", 0, n, reflect, Fraction(shift))
+    return build_expression(req, window)
 
 
 def _run_cell(args) -> ReportRecord:

@@ -15,16 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction, str]
-
-
-def rational(value: Scalar, denom: int | None = None) -> Fraction:
-    """Coerce ints, `Fraction`s or strings like '3/4' to a reduced Fraction."""
-    if denom is not None:
-        return Fraction(value, denom)
-    return Fraction(value)
 
 
 class Poly:

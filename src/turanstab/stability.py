@@ -4,13 +4,17 @@ A real polynomial is weakly Hurwitz stable when it has no zero with
 positive real part; imaginary-axis zeros are allowed.  The decision
 procedure rotates f to g(x) = (-i)^n f(ix), whose zeros with negative
 imaginary part correspond to the right-half-plane zeros of f, splits g
-into exact real/imaginary parts, removes their gcd (which carries every
-real zero of g), and counts open-upper-half-plane zeros of the quotient
-with a generalized Sturm chain:
+into exact real/imaginary parts and runs one generalized Sturm chain on
+them.  The chain ends at their gcd, which carries every real zero of g,
+and counts the open-upper-half-plane zeros of the quotient g / gcd:
 
-    p = (deg(quotient) + V(+inf) - V(-inf)) / 2,
+    p = (deg(g) - deg(gcd) + V(+inf) - V(-inf)) / 2,
 
 where V is the number of sign changes along the chain at the given end.
+Each chain element is the gcd times the matching element of the chain of
+the quotients re/gcd, im/gcd, up to positive scale.  At either end every
+sign is thus multiplied by the same sign of the monic gcd, so V(+-inf)
+and the chain length equal those of the quotient chain.
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
 matrix oracle used for randomized cross-checking.
@@ -71,7 +75,6 @@ class StabilityCertificate:
 
     verdict: bool
     degree: int
-    rotated: SplitPoly
     gcd_degree: int
     gcd_all_real: bool
     p_upper: int
@@ -199,20 +202,16 @@ def sign_variations_at_infinity(chain: list[Poly], direction: str) -> int:
 # -- the half-plane counter -------------------------------------------
 
 def _halfplane_data(h: SplitPoly):
-    """gcd, quotient chain and counts for the closed-upper-half-plane test."""
-    n = h.degree()
-    if h.im.is_zero:
-        g = h.re.monic()
-        re_q = Poly.constant(h.re.leading)
-        im_q = Poly.zero()
-    else:
-        g = polycore.gcd(h.re, h.im)
-        re_q = h.re.exact_div(g)
-        im_q = h.im.exact_div(g)
-    chain = _int_chain(clear_denominators(re_q), clear_denominators(im_q))
+    """gcd, chain length and counts for the closed-upper-half-plane test.
+
+    The one chain of (re, im) ends at their gcd g and has the length and
+    V(+-inf) of the chain of (re/g, im/g); see the module docstring.
+    """
+    chain = _int_chain(clear_denominators(h.re), clear_denominators(h.im))
+    g = Poly(chain[-1]).monic()
     v_plus = _variations_at_infinity_ints(chain, +1)
     v_minus = _variations_at_infinity_ints(chain, -1)
-    dq = n - (0 if g.is_zero else g.degree())
+    dq = h.degree() - g.degree()
     twice_p = dq + v_plus - v_minus
     if twice_p % 2 != 0 or not (0 <= twice_p // 2 <= dq):
         raise ChainInvariantError(
@@ -383,7 +382,6 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
         return StabilityCertificate(
             verdict=True,
             degree=0,
-            rotated=h,
             gcd_degree=0,
             gcd_all_real=True,
             p_upper=0,
@@ -398,7 +396,6 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     return StabilityCertificate(
         verdict=verdict,
         degree=degree,
-        rotated=h,
         gcd_degree=gcd_degree,
         gcd_all_real=gcd_all_real,
         p_upper=p,
@@ -492,7 +489,8 @@ def cross_check_oracle(f: Poly) -> str:
 
     Returns 'unstable' when some approximated root has real part above the
     axis tolerance, 'inconclusive' when a root sits within the tolerance of
-    the imaginary axis, else 'stable'.  Testing aid only, never a verdict.
+    the imaginary axis, else 'stable'.  Testing aid only, never a verdict;
+    it needs numpy, the package's ``oracle`` extra.
     """
     import numpy as np
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from turanstab import harness
 from turanstab.cli import main
 
 
@@ -102,9 +103,10 @@ class TestCampaign:
         assert "COUNTEREXAMPLE CANDIDATE" in out
 
     def test_tier_guard(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             main(["campaign", "--family", "bell", "--k-max", "40",
                   "--out", str(tmp_path / "r.jsonl")])
+        assert exc.value.code == 2
 
 
 class TestVerify:
@@ -128,3 +130,34 @@ class TestVerify:
         code, out = run(capsys, "--seed", "123", "verify", "--suite", "wronskian")
         assert code == 0
         assert "wronskian: PASS" in out
+
+
+class TestBadInput:
+    """Bad input ends in one stderr line and exit code 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", "--poly", "1,x"],
+        ["turan", "--family", "bell", "--k", "1", "--shift", "abc"],
+        ["gen", "--family", "bell", "--k", "-1"],
+        ["gen", "--family", "type_a", "--params", "1,0,1", "--k", "3"],
+        ["campaign", "--family", "bell", "--k-max", "2",
+         "--out", "/nonexistent/x.jsonl"],
+    ])
+    def test_one_line_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("turanstab: error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_campaign_checks_out_dir_before_computing(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("the grid was computed")
+
+        monkeypatch.setattr(harness, "run_campaign", fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--family", "bell", "--k-max", "2",
+                  "--out", str(tmp_path / "missing" / "r.jsonl")])
+        assert exc.value.code == 2

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,8 @@ from turanstab.harness import (
 )
 from turanstab.polycore import Poly
 from turanstab.sequences import POLAR_UNIT
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def bell_cfg(**kw):
@@ -106,6 +109,22 @@ class TestReports:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             emit_reports([], tmp_path / "missing" / "r.jsonl")
+
+    @pytest.mark.parametrize("family, reflect, name", [
+        ("bell", False, "bell"),
+        ("laguerre", True, "laguerre-reflected"),
+        ("bessel", False, "bessel"),
+    ])
+    def test_desk_report_matches_golden(self, tmp_path, family, reflect, name):
+        # the golden files are the criterion-4 desk-tier reports, written
+        # with jobs=1; regenerating them with jobs=2 also pins --jobs
+        # independence
+        k_max, n_max = harness.TIER_LIMITS["desk"]
+        cfg = CampaignConfig(family=sequences.spec(family), k_max=k_max,
+                             n_max=n_max, reflect=reflect, jobs=2)
+        path = tmp_path / f"{name}-desk.jsonl"
+        emit_reports(run_campaign(cfg), path)
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
 
 
 class TestSuites:

@@ -12,7 +12,6 @@ from turanstab.polycore import (
     gcd,
     int_primitive,
     is_squarefree,
-    rational,
     squarefree_part,
 )
 
@@ -49,10 +48,6 @@ class TestBasics:
 
     def test_scale(self):
         assert P(0, 2, 1).scale(-1) == P(0, -2, -1)
-
-    def test_rational_coercion(self):
-        assert rational("3/4") == F(3, 4)
-        assert rational(2, 6) == F(1, 3)
 
     def test_text_roundtrip(self):
         p = Poly.from_text("0,-8,-2,0,1")

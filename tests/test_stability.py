@@ -3,10 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from turanstab import stability
+from turanstab import polycore, stability
 from turanstab.polycore import Poly
 from turanstab.sequences import hermite
 from turanstab.stability import (
@@ -360,3 +360,66 @@ def test_sturm_count_splits_at_midpoint(data, lead):
     b = cauchy_bound(chain.squarefree)
     mid = F(1, 3)
     assert chain.count(-b, b) == chain.count(-b, mid) + chain.count(mid, b)
+
+
+# -- the single chain against the two-chain reference -----------------
+
+def _factor(kind, a, b):
+    """x - a, the axis pair x^2 + b^2, or the pair with zeros a +- ib."""
+    if kind == "linear":
+        return Poly([-a, 1])
+    if kind == "axis":
+        return Poly([b * b, 0, 1])
+    return Poly([a * a + b * b, -2 * a, 1])
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_nonzero = _rationals.filter(bool)
+
+
+@st.composite
+def _factored(draw):
+    """(f, stable) for f = c * prod(factor^multiplicity) of degree <= 40."""
+    factors = draw(st.lists(
+        st.tuples(st.sampled_from(("linear", "axis", "pair")), _rationals,
+                  _nonzero, st.integers(min_value=1, max_value=3)),
+        min_size=1, max_size=12,
+    ))
+    f, stable = Poly.constant(draw(_nonzero)), True
+    for kind, a, b, mult in factors:
+        piece = _factor(kind, a, b) ** mult
+        if f.degree() + piece.degree() > 40:
+            break
+        f = f * piece
+        stable = stable and (kind == "axis" or a <= 0)
+    return f, stable
+
+
+def _two_chain_reference(h):
+    """Counts the way they were computed before the single chain: gcd
+    first, then a second chain on the exact quotients."""
+    g = polycore.gcd(h.re, h.im)
+    chain = euclid_chain(h.re.exact_div(g), h.im.exact_div(g))
+    v_plus = sign_variations_at_infinity(chain, "+inf")
+    v_minus = sign_variations_at_infinity(chain, "-inf")
+    p = (h.degree() - g.degree() + v_plus - v_minus) // 2
+    return p, g, v_plus, v_minus, len(chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_factored())
+# (x^2 + 1)^2 (x + 1)(x - 2): gcd of degree 4 from the axis pair
+@example(case=(P(1, 0, 1) ** 2 * P(1, 1) * P(-2, 1), False))
+# (x - 1)(x + 1)(x + 3)^3: gcd x^2 + 1 from the pair mirrored in the axis
+@example(case=(P(-1, 1) * P(1, 1) * P(3, 1) ** 3, False))
+# x^3 (x^2 + 2x + 5)^2: a zero on the axis and a repeated stable pair
+@example(case=(P(0, 0, 0, 1) * P(5, 2, 1) ** 2, True))
+def test_single_chain_matches_two_chain_reference(case):
+    f, stable = case
+    h = rotate(f)
+    p, g, v_plus, v_minus, length = _two_chain_reference(h)
+    assert upper_halfplane_count(h) == (p, g)
+    cert = is_weakly_hurwitz(f)
+    assert (cert.p_upper, cert.gcd_degree, cert.v_plus, cert.v_minus,
+            cert.chain_length) == (p, g.degree(), v_plus, v_minus, length)
+    assert cert.verdict == stable
