@@ -56,7 +56,13 @@ def _emit_polys(polys, fmt: str) -> None:
             print(f"P_{i}: {p.pretty()}  [{p.to_text()}]")
 
 
+def _check_k(args) -> None:
+    if args.k < 0:
+        raise ValueError("--k must be >= 0")
+
+
 def cmd_gen(args) -> int:
+    _check_k(args)
     spec = _parse_spec(args)
     polys = sequences.generate(spec, args.k)
     _emit_polys(polys, args.format)
@@ -64,6 +70,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_turan(args) -> int:
+    _check_k(args)
     spec = _parse_spec(args)
     n = args.n or 1
     seq = sequences.generate(spec, 2 * n + args.k)
@@ -91,9 +98,14 @@ def cmd_stability(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    out_dir = os.path.dirname(os.path.abspath(args.out))
+    out = os.path.abspath(args.out)
+    out_dir = os.path.dirname(out)
     if not os.path.isdir(out_dir):
         raise OSError(f"cannot write report to {args.out}: no directory {out_dir}")
+    if os.path.isdir(out):
+        raise OSError(f"cannot write report to {args.out}: it is a directory")
+    if not os.access(out if os.path.exists(out) else out_dir, os.W_OK):
+        raise OSError(f"cannot write report to {args.out}: not writable")
     spec = _parse_spec(args)
     cfg = CampaignConfig(
         family=spec,

@@ -50,21 +50,6 @@ def extended_turan(seq: list[Poly], k: int, n: int) -> Poly:
     return total.scale(Fraction(1, math.factorial(2 * n)))
 
 
-def extended_turan_unfolded(seq: list[Poly], k: int, n: int) -> Poly:
-    """Literal term-by-term form of the extended Turan sum (test oracle)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(seq) < 2 * n + k + 1:
-        raise ValueError(f"sequence must reach index {2 * n + k}")
-    total = Poly()
-    for j in range(2 * n + 1):
-        term = (seq[j + k] * seq[2 * n + k - j]).scale(
-            Fraction((-1) ** (n + j) * math.comb(2 * n, j), math.factorial(2 * n))
-        )
-        total = total + term
-    return total
-
-
 def extended_laguerre(f: Poly, n: int) -> Poly:
     """Order-n extended Laguerre expression of a single polynomial.
 
@@ -106,21 +91,6 @@ def fisk_expression(f: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:
         + (f * d1).scale(b)
         + (f * d2 - d1 * d1).shift_x(1).scale(c)
     )
-
-
-def derivative_sequence(f: Poly) -> list[Poly]:
-    """[D^d f, ..., D f, f] for deg(f) = d; element i has degree i.
-
-    Feeding this into ``turan`` at index d - 2 reproduces the classical
-    Laguerre expression f'^2 - f f'' (index pinned by a symbolic test).
-    """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    seq = [f]
-    for _ in range(f.degree()):
-        seq.append(seq[-1].derivative())
-    seq.reverse()
-    return seq
 
 
 # -- request plumbing --------------------------------------------------

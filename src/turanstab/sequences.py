@@ -224,7 +224,10 @@ def type_a(a, b, c, k_max: int, p0=1) -> list[Poly]:
     """Type-A sequence from the seed constant p0; needs c_0..c_{k_max-1}."""
     c = [Fraction(v) for v in c]
     if len(c) < k_max:
-        raise ValueError("c list too short for the requested k_max")
+        raise ValueError(
+            f"type_a needs {k_max} c values (c0..c{k_max - 1}), one per step; "
+            f"got {len(c)}"
+        )
     seq = [Poly.constant(p0)]
     for k in range(k_max):
         seq.append(apply_type_a(seq[-1], a, b, c[k]))

@@ -14,7 +14,9 @@ where V is the number of sign changes along the chain at the given end.
 Each chain element is the gcd times the matching element of the chain of
 the quotients re/gcd, im/gcd, up to positive scale.  At either end every
 sign is thus multiplied by the same sign of the monic gcd, so V(+-inf)
-and the chain length equal those of the quotient chain.
+and the chain length equal those of the quotient chain.  The same
+counter decides strict interlacing (``interlace_check``), by the
+Hermite-Biehler theorem.
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
 matrix oracle used for randomized cross-checking.
@@ -61,13 +63,6 @@ class SplitPoly:
     re: Poly
     im: Poly
 
-    def degree(self) -> int:
-        if self.re.is_zero and self.im.is_zero:
-            raise ValueError("zero polynomial")
-        dr = -1 if self.re.is_zero else self.re.degree()
-        di = -1 if self.im.is_zero else self.im.degree()
-        return max(dr, di)
-
 
 @dataclass(frozen=True)
 class StabilityCertificate:
@@ -97,18 +92,16 @@ class StabilityCertificate:
 
 # -- rotation ----------------------------------------------------------
 
-def rotate(f: Poly) -> SplitPoly:
-    """g(x) = (-i)^n f(ix) as exact real/imaginary parts.
+def _rotated_parts(coeffs):
+    """Real and imaginary coefficient lists of (-i)^n f(ix), n = deg f.
 
-    The leading coefficient of g is real and equals that of f; zeros of f
-    with Re > 0 map exactly to zeros of g with Im < 0.
+    Works on any exact coefficients (integers or Fractions); the imaginary
+    list carries no trailing zeros, so it is empty when the part is zero.
     """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    n = f.degree()
-    re = [Fraction(0)] * (n + 1)
-    im = [Fraction(0)] * (n + 1)
-    for j, c in enumerate(f.coeffs):
+    n = len(coeffs) - 1
+    re = [0] * (n + 1)
+    im = [0] * (n + 1)
+    for j, c in enumerate(coeffs):
         d = (j - n) % 4  # i^(j-n) cycles 1, i, -1, -i
         if d == 0:
             re[j] = c
@@ -118,6 +111,20 @@ def rotate(f: Poly) -> SplitPoly:
             re[j] = -c
         else:
             im[j] = -c
+    while im and not im[-1]:
+        im.pop()
+    return re, im
+
+
+def rotate(f: Poly) -> SplitPoly:
+    """g(x) = (-i)^n f(ix) as exact real/imaginary parts.
+
+    The leading coefficient of g is real and equals that of f; zeros of f
+    with Re > 0 map exactly to zeros of g with Im < 0.
+    """
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    re, im = _rotated_parts(f.coeffs)
     return SplitPoly(Poly(re), Poly(im))
 
 
@@ -133,20 +140,13 @@ def _int_chain(f0: IntPoly, f1: IntPoly, strip_content: bool = True) -> list[Int
     """
     if not f0:
         raise ValueError("f0 must be non-zero")
-    chain = [list(f0)]
-    if f1:
-        chain.append(list(f1))
-    while True:
-        prev, cur = chain[-2] if len(chain) >= 2 else None, chain[-1]
-        if prev is None or len(cur) == 0:
-            break
-        r, positive = int_pseudo_rem(prev, cur)
+    chain = [list(f0), list(f1)] if f1 else [list(f0)]
+    while len(chain) >= 2:
+        r, positive = int_pseudo_rem(chain[-2], chain[-1])
         if not r:
             break
-        nxt = [-c for c in r] if positive else list(r)
-        if strip_content:
-            nxt = int_primitive(nxt)
-        chain.append(nxt)
+        nxt = [-c for c in r] if positive else r
+        chain.append(int_primitive(nxt) if strip_content else nxt)
     return chain
 
 
@@ -201,17 +201,20 @@ def sign_variations_at_infinity(chain: list[Poly], direction: str) -> int:
 
 # -- the half-plane counter -------------------------------------------
 
-def _halfplane_data(h: SplitPoly):
+def _halfplane_data(re: IntPoly, im: IntPoly):
     """gcd, chain length and counts for the closed-upper-half-plane test.
 
-    The one chain of (re, im) ends at their gcd g and has the length and
-    V(+-inf) of the chain of (re/g, im/g); see the module docstring.
+    ``re`` and ``im`` are integer coefficient lists, each a positive
+    multiple of its part, with deg(im) < deg(re).  The one chain of
+    (re, im) ends at their gcd g, returned as an integer list, and has the
+    length and V(+-inf) of the chain of (re/g, im/g); see the module
+    docstring.
     """
-    chain = _int_chain(clear_denominators(h.re), clear_denominators(h.im))
-    g = Poly(chain[-1]).monic()
+    chain = _int_chain(re, im)
+    g = chain[-1]
     v_plus = _variations_at_infinity_ints(chain, +1)
     v_minus = _variations_at_infinity_ints(chain, -1)
-    dq = h.degree() - g.degree()
+    dq = len(re) - len(g)
     twice_p = dq + v_plus - v_minus
     if twice_p % 2 != 0 or not (0 <= twice_p // 2 <= dq):
         raise ChainInvariantError(
@@ -230,44 +233,49 @@ def upper_halfplane_count(h: SplitPoly) -> tuple[int, Poly]:
     """
     if h.re.is_zero or (not h.im.is_zero and h.im.degree() >= h.re.degree()):
         raise ValueError("leading coefficient must be real")
-    p, g, _, _, _ = _halfplane_data(h)
-    return p, g
+    p, g, _, _, _ = _halfplane_data(
+        clear_denominators(h.re), clear_denominators(h.im)
+    )
+    return p, Poly(g).monic()
 
 
 # -- real-root machinery ----------------------------------------------
 
 class SturmChain:
-    """Cached Sturm chain of the squarefree part of a polynomial."""
+    """Cached integer Sturm chain of the squarefree part of a polynomial."""
 
     def __init__(self, f: Poly):
         if f.is_zero:
             raise ValueError("zero polynomial")
         self.squarefree = polycore.squarefree_part(f)
-        if self.squarefree.degree() == 0:
-            self._chain: list[IntPoly] = [clear_denominators(self.squarefree)]
-        else:
-            self._chain = _int_chain(
-                clear_denominators(self.squarefree),
-                clear_denominators(self.squarefree.derivative()),
-            )
-        self._polys = [Poly(c) for c in self._chain]
+        self._chain = _int_chain(
+            clear_denominators(self.squarefree),
+            clear_denominators(self.squarefree.derivative()),
+        )
 
     def variations_at(self, x: Scalar) -> int:
+        # at x = p/q with q > 0, an element of degree d has the sign of the
+        # integer q^d * f(p/q)
         x = Fraction(x)
-        return _variations([_sign(p(x)) for p in self._polys])
-
-    def variations_at_infinity(self, direction: int) -> int:
-        return _variations_at_infinity_ints(self._chain, direction)
+        p, q = x.numerator, x.denominator
+        signs = []
+        for f in self._chain:
+            acc, q_pow = 0, 1
+            for c in reversed(f):
+                acc = acc * p + c * q_pow
+                q_pow *= q
+            signs.append(_sign(acc))
+        return _variations(signs)
 
     def count(self, lo: Optional[Scalar], hi: Optional[Scalar]) -> int:
         """Distinct real roots in the half-open interval (lo, hi]."""
         v_lo = (
-            self.variations_at_infinity(-1)
+            _variations_at_infinity_ints(self._chain, -1)
             if lo is None
             else self.variations_at(lo)
         )
         v_hi = (
-            self.variations_at_infinity(+1)
+            _variations_at_infinity_ints(self._chain, +1)
             if hi is None
             else self.variations_at(hi)
         )
@@ -335,35 +343,6 @@ def isolate_extreme_roots(
     return m_lo, m_hi, M_lo, M_hi
 
 
-def _isolate_real_roots(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals (lo, hi], one distinct real root each."""
-    bound = cauchy_bound(chain.squarefree)
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def recurse(lo: Fraction, hi: Fraction, n: int) -> None:
-        if n == 0:
-            return
-        if n == 1:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        left = chain.count(lo, mid)
-        recurse(lo, mid, left)
-        recurse(mid, hi, n - left)
-
-    recurse(-bound, bound, chain.count(-bound, bound))
-    out.sort()
-    return out
-
-
-def _shrink(
-    interval: tuple[Fraction, Fraction], chain: SturmChain
-) -> tuple[Fraction, Fraction]:
-    lo, hi = interval
-    mid = (lo + hi) / 2
-    return (lo, mid) if chain.count(lo, mid) >= 1 else (mid, hi)
-
-
 # -- stability verdicts -----------------------------------------------
 
 def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
@@ -376,7 +355,6 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    h = rotate(f)
     degree = f.degree()
     if degree == 0:
         return StabilityCertificate(
@@ -389,9 +367,11 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
             v_plus=0,
             v_minus=0,
         )
-    p, g, chain_length, v_plus, v_minus = _halfplane_data(h)
-    gcd_degree = g.degree()
-    gcd_all_real = gcd_degree == 0 or all_roots_real(g)
+    p, g, chain_length, v_plus, v_minus = _halfplane_data(
+        *_rotated_parts(clear_denominators(f))
+    )
+    gcd_degree = len(g) - 1
+    gcd_all_real = gcd_degree == 0 or all_roots_real(Poly(g))
     verdict = gcd_all_real and p == degree - gcd_degree
     return StabilityCertificate(
         verdict=verdict,
@@ -435,9 +415,12 @@ def interlace_check(
     deg(f) = deg(g) + 1.
 
     With ``shared_root=r`` both polynomials must vanish at r; the check then
-    applies to f/(x-r) and g/(x-r).  Roots are isolated into pairwise
-    disjoint rational intervals and the alternation pattern f,g,f,...,f is
-    verified.  Multiple roots or common roots fail the strict check.
+    applies to f/(x-r) and g/(x-r).  By the Hermite-Biehler theorem, f and g
+    have simple, strictly interlacing zeros (f, g, f, ..., f on the real
+    line) iff f + i*g has every zero in one open half-plane.  The half-plane
+    counter decides that: gcd(f, g) must be constant, since a common zero
+    is a real zero of f + i*g, and the open-upper count must be 0 or
+    deg(f).  Multiple roots or common roots fail the strict check.
     """
     if shared_root is not None:
         r = Fraction(shared_root)
@@ -452,36 +435,8 @@ def interlace_check(
         raise ValueError("need deg(f) = deg(g) + 1")
     if not all_roots_real(f) or not all_roots_real(g):
         raise ValueError("inputs must be real-rooted")
-    if not polycore.is_squarefree(f) or not polycore.is_squarefree(g):
-        return False
-    if g.degree() == 0:
-        return True
-    if polycore.gcd(f, g).degree() > 0:
-        return False
-
-    cf, cg = SturmChain(f), SturmChain(g)
-    ivs_f = _isolate_real_roots(cf)
-    ivs_g = _isolate_real_roots(cg)
-
-    def disjoint(a, b) -> bool:
-        return a[1] <= b[0] or b[1] <= a[0]
-
-    changed = True
-    while changed:
-        changed = False
-        for i, a in enumerate(ivs_f):
-            for j, b in enumerate(ivs_g):
-                if not disjoint(a, b):
-                    ivs_f[i] = _shrink(a, cf)
-                    ivs_g[j] = _shrink(b, cg)
-                    changed = True
-                    a = ivs_f[i]
-    labeled = sorted(
-        [(iv, "f") for iv in ivs_f] + [(iv, "g") for iv in ivs_g]
-    )
-    pattern = [label for _, label in labeled]
-    expected = ["f" if i % 2 == 0 else "g" for i in range(len(pattern))]
-    return pattern == expected
+    p, common = upper_halfplane_count(SplitPoly(f, g))
+    return common.degree() == 0 and p in (0, f.degree())
 
 
 def cross_check_oracle(f: Poly) -> str:

@@ -142,6 +142,7 @@ class TestBadInput:
         ["gen", "--family", "type_a", "--params", "1,0,1", "--k", "3"],
         ["campaign", "--family", "bell", "--k-max", "2",
          "--out", "/nonexistent/x.jsonl"],
+        ["campaign", "--family", "bell", "--k-max", "2", "--out", "."],
     ])
     def test_one_line_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -152,12 +153,20 @@ class TestBadInput:
         assert captured.err.startswith("turanstab: error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["gen", "turan"])
+    def test_negative_k_names_the_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "bell", "--k", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "turanstab: error: --k must be >= 0\n"
+
     def test_campaign_checks_out_dir_before_computing(self, monkeypatch, tmp_path):
         def fail(*args, **kwargs):
             raise AssertionError("the grid was computed")
 
         monkeypatch.setattr(harness, "run_campaign", fail)
-        with pytest.raises(SystemExit) as exc:
-            main(["campaign", "--family", "bell", "--k-max", "2",
-                  "--out", str(tmp_path / "missing" / "r.jsonl")])
-        assert exc.value.code == 2
+        for out in (tmp_path / "missing" / "r.jsonl", tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                main(["campaign", "--family", "bell", "--k-max", "2",
+                      "--out", str(out)])
+            assert exc.value.code == 2

@@ -1,5 +1,6 @@
 """Turan, extended Turan/Laguerre, Wronskian and related expressions."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,8 @@ from hypothesis import strategies as st
 from turanstab.expressions import (
     ExprRequest,
     build_expression,
-    derivative_sequence,
     extended_laguerre,
     extended_turan,
-    extended_turan_unfolded,
     fisk_expression,
     turan,
     wronskian,
@@ -23,6 +22,36 @@ from turanstab.sequences import bell, chebyshev_t, hermite, laguerre
 
 def P(*coeffs):
     return Poly(coeffs)
+
+
+def extended_turan_unfolded(seq, k, n):
+    """Literal term-by-term form of the extended Turan sum."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if len(seq) < 2 * n + k + 1:
+        raise ValueError(f"sequence must reach index {2 * n + k}")
+    total = Poly()
+    for j in range(2 * n + 1):
+        term = (seq[j + k] * seq[2 * n + k - j]).scale(
+            F((-1) ** (n + j) * math.comb(2 * n, j), math.factorial(2 * n))
+        )
+        total = total + term
+    return total
+
+
+def derivative_sequence(f):
+    """[D^d f, ..., D f, f] for deg(f) = d; element i has degree i.
+
+    Feeding this into ``turan`` at index d - 2 reproduces the classical
+    Laguerre expression f'^2 - f f'' (the index pin tested below).
+    """
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    seq = [f]
+    for _ in range(f.degree()):
+        seq.append(seq[-1].derivative())
+    seq.reverse()
+    return seq
 
 
 class TestTuran:

@@ -350,16 +350,33 @@ def test_product_of_linear_factors(roots):
     assert is_weakly_hurwitz(f).verdict == all(r <= 0 for r in roots)
 
 
+def _variations_by_evaluation(f, x):
+    """Sign changes at x along the Sturm chain of the squarefree part of f,
+    each element evaluated in Fraction arithmetic."""
+    s = polycore.squarefree_part(f)
+    signs = [p(x) for p in euclid_chain(s, s.derivative())]
+    run = [v > 0 for v in signs if v]
+    return sum(1 for a, b in zip(run, run[1:]) if a != b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=7),
-    lead=st.integers(min_value=1, max_value=9),
+    lead=st.integers(min_value=-9, max_value=9).filter(bool),
+    root=st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    mid=st.one_of(
+        st.none(), st.fractions(min_value=-12, max_value=12, max_denominator=9)
+    ),
 )
-def test_sturm_count_splits_at_midpoint(data, lead):
-    chain = SturmChain(Poly(data + [lead]))
+def test_sturm_count_splits_at_midpoint(data, lead, root, mid):
+    # f has the rational root `root`; a None draw splits exactly there
+    f = Poly(data + [lead]) * Poly([-root, 1])
+    mid = root if mid is None else mid
+    chain = SturmChain(f)
     b = cauchy_bound(chain.squarefree)
-    mid = F(1, 3)
     assert chain.count(-b, b) == chain.count(-b, mid) + chain.count(mid, b)
+    assert chain.variations_at(mid) == _variations_by_evaluation(f, mid)
+    assert chain.count(root - F(1, 10**6), root) >= 1
 
 
 # -- the single chain against the two-chain reference -----------------
@@ -371,6 +388,13 @@ def _factor(kind, a, b):
     if kind == "axis":
         return Poly([b * b, 0, 1])
     return Poly([a * a + b * b, -2 * a, 1])
+
+
+def _product(kind, centres, b):
+    f = Poly.one()
+    for a in centres:
+        f = f * _factor(kind, a, b)
+    return f
 
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -402,7 +426,7 @@ def _two_chain_reference(h):
     chain = euclid_chain(h.re.exact_div(g), h.im.exact_div(g))
     v_plus = sign_variations_at_infinity(chain, "+inf")
     v_minus = sign_variations_at_infinity(chain, "-inf")
-    p = (h.degree() - g.degree() + v_plus - v_minus) // 2
+    p = (h.re.degree() - g.degree() + v_plus - v_minus) // 2
     return p, g, v_plus, v_minus, len(chain)
 
 
@@ -414,6 +438,19 @@ def _two_chain_reference(h):
 @example(case=(P(-1, 1) * P(1, 1) * P(3, 1) ** 3, False))
 # x^3 (x^2 + 2x + 5)^2: a zero on the axis and a repeated stable pair
 @example(case=(P(0, 0, 0, 1) * P(5, 2, 1) ** 2, True))
+# degree 60-120, where campaigns run (coefficients up to about 420 bits):
+# 80 negative zeros and (x^2 + 1)^10, degree 100, gcd of degree 20
+@example(case=(_product("linear", [F(-j, 2) for j in range(1, 81)], 1)
+               * P(1, 0, 1) ** 10, True))
+# zeros -1..-30, 24 stable pairs, the pair 1/3 +- i cubed, degree 84
+@example(case=(_product("linear", range(-30, 0), 1)
+               * _product("pair", [F(-j, 2) for j in range(1, 25)], 1)
+               * _factor("pair", F(1, 3), 1) ** 3, False))
+# zeros and pairs mirrored in the axis: the rotation is real, degree 110
+@example(case=(_product("linear", [F(j, 3) for j in range(-15, 16) if j], 1)
+               * P(F(1, 4), 0, 1) ** 10
+               * _product("pair", [F(j, 5) for j in range(-15, 16) if j], F(1, 7)),
+               False))
 def test_single_chain_matches_two_chain_reference(case):
     f, stable = case
     h = rotate(f)
@@ -423,3 +460,100 @@ def test_single_chain_matches_two_chain_reference(case):
     assert (cert.p_upper, cert.gcd_degree, cert.v_plus, cert.v_minus,
             cert.chain_length) == (p, g.degree(), v_plus, v_minus, length)
     assert cert.verdict == stable
+
+
+# -- interlacing against the isolate-and-refine reference --------------
+
+def _isolate_real_roots(chain):
+    """Disjoint half-open intervals (lo, hi], one distinct real root each."""
+    bound = cauchy_bound(chain.squarefree)
+    out = []
+
+    def recurse(lo, hi, n):
+        if n == 0:
+            return
+        if n == 1:
+            out.append((lo, hi))
+            return
+        mid = (lo + hi) / 2
+        left = chain.count(lo, mid)
+        recurse(lo, mid, left)
+        recurse(mid, hi, n - left)
+
+    recurse(-bound, bound, chain.count(-bound, bound))
+    return sorted(out)
+
+
+def _shrink(interval, chain):
+    lo, hi = interval
+    mid = (lo + hi) / 2
+    return (lo, mid) if chain.count(lo, mid) >= 1 else (mid, hi)
+
+
+def _isolation_reference(f, g):
+    """Strict interlacing the way it was decided before the half-plane
+    counter: isolate the roots of f and g in rational intervals, refine
+    until no f interval meets a g interval, then read off f, g, ..., f."""
+    if not polycore.is_squarefree(f) or not polycore.is_squarefree(g):
+        return False
+    if g.degree() == 0:
+        return True
+    if polycore.gcd(f, g).degree() > 0:
+        return False
+    cf, cg = SturmChain(f), SturmChain(g)
+    ivs_f, ivs_g = _isolate_real_roots(cf), _isolate_real_roots(cg)
+
+    def disjoint(a, b):
+        return a[1] <= b[0] or b[1] <= a[0]
+
+    changed = True
+    while changed:
+        changed = False
+        for i, a in enumerate(ivs_f):
+            for j, b in enumerate(ivs_g):
+                if not disjoint(a, b):
+                    ivs_f[i] = _shrink(a, cf)
+                    ivs_g[j] = _shrink(b, cg)
+                    changed = True
+                    a = ivs_f[i]
+    labeled = sorted([(iv, "f") for iv in ivs_f] + [(iv, "g") for iv in ivs_g])
+    pattern = [label for _, label in labeled]
+    return pattern == ["f" if i % 2 == 0 else "g" for i in range(len(pattern))]
+
+
+@st.composite
+def _real_rooted_pair(draw):
+    """(f, g, forced): real-rooted f of degree n and g of degree n - 1 with
+    any-sign leading coefficients; interlacing by construction when forced,
+    otherwise with free roots that may repeat or be shared."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    forced = draw(st.booleans())
+    if forced:
+        points = sorted(draw(st.lists(
+            _rationals, min_size=2 * n - 1, max_size=2 * n - 1, unique=True
+        )))
+        f_roots, g_roots = points[::2], points[1::2]
+    else:
+        f_roots = draw(st.lists(_rationals, min_size=n, max_size=n))
+        g_roots = draw(st.lists(_rationals, min_size=n - 1, max_size=n - 1))
+        if g_roots and draw(st.booleans()):
+            g_roots[0] = draw(st.sampled_from(f_roots))
+    f = _product("linear", f_roots, 0) * draw(_nonzero)
+    g = _product("linear", g_roots, 0) * draw(_nonzero)
+    return f, g, forced
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_real_rooted_pair())
+# f has the double root 1, and g its simple root 1 as well
+@example(case=(P(-1, 1) ** 2 * P(1, 1), P(-1, 1) * P(-2, 1), False))
+# g's root 1 lies outside f's roots -1, 0: not interlacing
+@example(case=(P(1, 1) * P(0, 1), -P(-1, 1), False))
+# negative leading coefficients on both sides of an interlacing pair
+@example(case=(-P(-1, 0, 1) * P(-3, 1), P(0, -2) * P(-2, 1) * F(1, 3), True))
+def test_interlace_matches_isolation_reference(case):
+    f, g, forced = case
+    got = interlace_check(f, g)
+    assert got == _isolation_reference(f, g)
+    if forced:
+        assert got
