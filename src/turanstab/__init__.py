@@ -16,7 +16,6 @@ from .stability import (
     all_roots_real,
 )
 from .expressions import (
-    ExprRequest,
     build_expression,
     extended_laguerre,
     extended_turan,
@@ -45,7 +44,6 @@ __all__ = [
     "nonvanishing_halfplane",
     "sturm_real_count",
     "all_roots_real",
-    "ExprRequest",
     "build_expression",
     "turan",
     "extended_turan",

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import harness, sequences, stability
-from .expressions import ExprRequest, build_expression
+from .expressions import build_expression
 from .harness import DEFAULT_SEED, CampaignConfig, TIER_LIMITS
 from .polycore import Poly
 from .sequences import SequenceSpec
@@ -71,14 +71,14 @@ def cmd_gen(args) -> int:
 
 def cmd_turan(args) -> int:
     _check_k(args)
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     spec = _parse_spec(args)
-    n = args.n or 1
-    seq = sequences.generate(spec, 2 * n + args.k)
-    req = ExprRequest("extended_turan", args.k, n, args.reflect,
-                      Fraction(args.shift or 0))
-    expr = build_expression(req, seq)
+    seq = sequences.generate(spec, 2 * args.n + args.k)
+    expr = build_expression(seq, args.k, args.n, args.reflect,
+                            Fraction(args.shift or 0))
     if args.format == "json":
-        print(json.dumps({"family": spec.family, "k": args.k, "n": n,
+        print(json.dumps({"family": spec.family, "k": args.k, "n": args.n,
                           "coeffs": expr.to_text()}))
     else:
         print(f"{expr.pretty()}  [{expr.to_text()}]")
@@ -217,6 +217,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         # bad input: one stderr line, and argparse's usage-error exit code
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except ZeroDivisionError as exc:  # a rational such as 1/0
+        parser.exit(2, f"{parser.prog}: error: division by zero: {exc}\n")
 
 
 if __name__ == "__main__":

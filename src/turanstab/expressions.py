@@ -9,12 +9,16 @@ alternating binomial convolution
 which collapses to the plain Turan expression at n = 1.  The single-
 function analogue over derivatives is the extended Laguerre expression;
 its n = 1 case is the classical f'^2 - f f''.
+
+``build_expression`` is the one path from a sequence to the object a
+campaign cell or the ``turan`` command decides: the extended Turan
+expression, reflected (x -> -x, used for Laguerre) and shifted (x -> x +
+shift, used for type A with shift -b) as asked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polycore import Poly, Scalar
@@ -93,50 +97,17 @@ def fisk_expression(f: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:
     )
 
 
-# -- request plumbing --------------------------------------------------
+def build_expression(
+    seq: list[Poly], k: int, n: int, reflect: bool, shift: Fraction
+) -> Poly:
+    """Order-n extended Turan expression at index k, reflected and shifted.
 
-KINDS = ("turan", "extended_turan", "extended_laguerre", "wronskian")
-
-
-@dataclass(frozen=True)
-class ExprRequest:
-    """What to build: an expression kind plus post-construction reflect/shift.
-
-    ``reflect`` applies x -> -x to the finished expression; ``shift`` then
-    applies x -> x + shift.  For the single-function kinds (wronskian,
-    extended_laguerre) the source is the sequence member at index k.
+    ``reflect`` applies x -> -x to the expression; a non-zero ``shift``
+    then applies x -> x + shift.
     """
-
-    kind: str
-    k: int
-    n: int = 1
-    reflect: bool = False
-    shift: Fraction = Fraction(0)
-
-    def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown expression kind {self.kind!r}")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if self.kind == "extended_turan" and self.n < 1:
-            raise ValueError("extended_turan needs n >= 1")
-        if self.kind == "extended_laguerre" and self.n < 0:
-            raise ValueError("extended_laguerre needs n >= 0")
-
-
-def build_expression(req: ExprRequest, seq: list[Poly]) -> Poly:
-    """Construct the requested expression and apply reflect/shift."""
-    req.validate()
-    if req.kind == "turan":
-        expr = turan(seq, req.k)
-    elif req.kind == "extended_turan":
-        expr = extended_turan(seq, req.k, req.n)
-    elif req.kind == "extended_laguerre":
-        expr = extended_laguerre(seq[req.k], req.n)
-    else:
-        expr = wronskian(seq[req.k])
-    if req.reflect:
+    expr = extended_turan(seq, k, n)
+    if reflect:
         expr = expr.compose_linear(-1, 0)
-    if req.shift:
-        expr = expr.compose_linear(1, Fraction(req.shift))
+    if shift:
+        expr = expr.compose_linear(1, shift)
     return expr

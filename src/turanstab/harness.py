@@ -1,7 +1,10 @@
 """Verification suites, conjecture campaigns and JSONL reporting.
 
 The campaigns sweep extended Turan expressions of a family over a
-(k, n) grid and record the exact stability verdict of every cell.  Any
+(k, n) grid and record the exact stability verdict of every cell.  A
+cell builds its expression with ``expressions.build_expression`` from
+the window P_k .. P_{k+2n} of the sequence, reflected and shifted as the
+campaign asks, and decides it with ``stability.is_weakly_hurwitz``.  Any
 false verdict for a family whose stability is proved or conjectured is
 flagged prominently: it would be a counterexample to a published claim.
 
@@ -18,10 +21,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable
 
 from . import expressions, polycore, sequences, stability
-from .expressions import ExprRequest, build_expression
+from .expressions import build_expression
 from .polycore import Poly
 from .sequences import POLAR_SCALED, POLAR_UNIT, SequenceSpec
 from .stability import (
@@ -79,17 +81,11 @@ class ReportRecord:
         return (self.family, self.k, self.n)
 
 
-def _default_builder(window: list[Poly], n: int, reflect: bool, shift) -> Poly:
-    # window holds P_k .. P_{k+2n}, so the extended expression sits at index 0
-    req = ExprRequest("extended_turan", 0, n, reflect, Fraction(shift))
-    return build_expression(req, window)
-
-
 def _run_cell(args) -> ReportRecord:
-    family, k, n, coeff_lists, reflect, shift, builder = args
-    window = [Poly(c) for c in coeff_lists]
+    family, k, n, window, reflect, shift = args
     start = time.perf_counter()
-    expr = builder(window, n, reflect, shift)
+    # window holds P_k .. P_{k+2n}, so the extended expression sits at index 0
+    expr = build_expression(window, 0, n, reflect, shift)
     if expr.is_zero:
         verdict, degree, cert = False, -1, {}
     else:
@@ -108,27 +104,20 @@ def _run_cell(args) -> ReportRecord:
     )
 
 
-def run_campaign(
-    cfg: CampaignConfig,
-    builder: Callable = _default_builder,
-) -> list[ReportRecord]:
+def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
     """Stability verdicts over the (k, n) grid, merged in deterministic order.
 
     The unit of work is one (family, k, n) cell; workers share only the
     immutable sequence prefix, and results are sorted afterwards so the
-    report does not depend on ``jobs``.  ``builder`` is a test hook for
-    injecting alternative expressions into the campaign path.
+    report does not depend on ``jobs``.
     """
     cfg.validate()
     seq = sequences.generate(cfg.family, 2 * cfg.n_max + cfg.k_max)
-    coeff_lists = [p.coeffs for p in seq]
     args = []
     for k in range(cfg.k_max + 1):
         for n in range(1, cfg.n_max + 1):
-            window = coeff_lists[k : k + 2 * n + 1]
-            args.append(
-                (cfg.family.family, k, n, window, cfg.reflect, cfg.shift, builder)
-            )
+            window = seq[k : k + 2 * n + 1]
+            args.append((cfg.family.family, k, n, window, cfg.reflect, cfg.shift))
     if cfg.jobs == 1:
         raw = [_run_cell(a) for a in args]
     else:

@@ -43,8 +43,8 @@ class SequenceSpec:
     """Declarative description of a polynomial family.
 
     Only the parameters relevant to ``family`` are consulted: ``gamma``
-    for jensen, ``(a, b, c, p0)`` for type_a, ``(a, b, cscale, p0)`` for
-    type_h.  The named classical families take no parameters.
+    for jensen, ``(a, b, c)`` for type_a, ``(a, b, cscale)`` for type_h.
+    The named classical families take no parameters.
     """
 
     family: str
@@ -53,7 +53,6 @@ class SequenceSpec:
     b: Fraction | None = None
     c: tuple[Fraction, ...] | None = None
     cscale: Fraction | None = None
-    p0: Fraction = Fraction(1)
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -73,8 +72,6 @@ class SequenceSpec:
             for prev, nxt in zip(self.c, self.c[1:]):
                 if nxt < prev:
                     raise ValueError("type_a requires a non-decreasing c list")
-            if self.p0 == 0:
-                raise ValueError("seed P_0 must be non-zero")
         elif self.family == "type_h":
             if self.a is None or self.cscale is None:
                 raise ValueError("type_h requires a and cscale")
@@ -82,14 +79,12 @@ class SequenceSpec:
                 raise ValueError("type_h requires a > 0")
             if self.cscale == 0:
                 raise ValueError("type_h requires cscale != 0")
-            if self.p0 == 0:
-                raise ValueError("seed P_0 must be non-zero")
 
 
 def spec(family: str, **kwargs) -> SequenceSpec:
     """Build and validate a SequenceSpec; rational-valued fields are coerced."""
     conv = dict(kwargs)
-    for key in ("a", "b", "cscale", "p0"):
+    for key in ("a", "b", "cscale"):
         if key in conv and conv[key] is not None:
             conv[key] = Fraction(conv[key])
     for key in ("gamma", "c"):
@@ -213,30 +208,33 @@ def jensen(gamma, k_max: int) -> list[Poly]:
     """Jensen polynomials g_n = sum_k C(n,k) gamma_k x^k for a gamma list."""
     gamma = [Fraction(g) for g in gamma]
     if len(gamma) < k_max + 1:
-        raise ValueError("gamma list too short for the requested k_max")
+        raise ValueError(
+            f"jensen needs {k_max + 1} gamma values (gamma0..gamma{k_max}); "
+            f"got {len(gamma)}"
+        )
     seq = []
     for n in range(k_max + 1):
         seq.append(Poly(math.comb(n, k) * gamma[k] for k in range(n + 1)))
     return seq
 
 
-def type_a(a, b, c, k_max: int, p0=1) -> list[Poly]:
-    """Type-A sequence from the seed constant p0; needs c_0..c_{k_max-1}."""
+def type_a(a, b, c, k_max: int) -> list[Poly]:
+    """Type-A sequence from the seed P_0 = 1; needs c_0..c_{k_max-1}."""
     c = [Fraction(v) for v in c]
     if len(c) < k_max:
         raise ValueError(
             f"type_a needs {k_max} c values (c0..c{k_max - 1}), one per step; "
             f"got {len(c)}"
         )
-    seq = [Poly.constant(p0)]
+    seq = [Poly.one()]
     for k in range(k_max):
         seq.append(apply_type_a(seq[-1], a, b, c[k]))
     return seq
 
 
-def type_h(a, b, cscale, k_max: int, p0=1) -> list[Poly]:
-    """Type-H sequence from the seed constant p0."""
-    seq = [Poly.constant(p0)]
+def type_h(a, b, cscale, k_max: int) -> list[Poly]:
+    """Type-H sequence from the seed P_0 = 1."""
+    seq = [Poly.one()]
     for _ in range(k_max):
         seq.append(apply_type_h(seq[-1], a, b, cscale))
     return seq
@@ -264,9 +262,9 @@ def generate(s: SequenceSpec, k_max: int) -> list[Poly]:
     if s.family == "jensen":
         return jensen(s.gamma, k_max)
     if s.family == "type_a":
-        return type_a(s.a, s.b, s.c, k_max, s.p0)
+        return type_a(s.a, s.b, s.c, k_max)
     if s.family == "type_h":
-        return type_h(s.a, s.b, s.cscale, k_max, s.p0)
+        return type_h(s.a, s.b, s.cscale, k_max)
     raise ValueError(f"unknown family {s.family!r}")
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from turanstab import harness
+from turanstab import harness, sequences
 from turanstab.cli import main
 
 
@@ -143,6 +143,10 @@ class TestBadInput:
         ["campaign", "--family", "bell", "--k-max", "2",
          "--out", "/nonexistent/x.jsonl"],
         ["campaign", "--family", "bell", "--k-max", "2", "--out", "."],
+        ["stability", "--poly", "1/0"],
+        ["turan", "--family", "bell", "--k", "1", "--shift", "1/0"],
+        ["gen", "--family", "jensen", "--gamma", "1/0", "--k", "0"],
+        ["gen", "--family", "type_h", "--params", "2,0,1/0", "--k", "1"],
     ])
     def test_one_line_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -159,6 +163,25 @@ class TestBadInput:
             main([command, "--family", "bell", "--k", "-1"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "turanstab: error: --k must be >= 0\n"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_names_the_flag(self, capsys, monkeypatch, n):
+        def fail(*args, **kwargs):
+            raise AssertionError("the sequence was generated")
+
+        monkeypatch.setattr(sequences, "generate", fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["turan", "--family", "bell", "--k", "1", "--n", n])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "turanstab: error: --n must be >= 1\n"
+
+    def test_short_gamma_says_how_many(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "jensen", "--gamma", "1,2", "--k", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "turanstab: error: jensen needs 6 gamma values (gamma0..gamma5); got 2\n"
+        )
 
     def test_campaign_checks_out_dir_before_computing(self, monkeypatch, tmp_path):
         def fail(*args, **kwargs):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turanstab.expressions import (
-    ExprRequest,
     build_expression,
     extended_laguerre,
     extended_turan,
@@ -162,21 +161,22 @@ class TestDerivativeSequence:
 class TestBuildExpression:
     def test_turan_with_reflect_and_shift(self):
         seq = laguerre(6)
-        req = ExprRequest(kind="turan", k=2, reflect=True, shift=F(1, 2))
         want = turan(seq, 2).compose_linear(-1, 0).compose_linear(1, F(1, 2))
-        assert build_expression(req, seq) == want
+        assert build_expression(seq, 2, 1, True, F(1, 2)) == want
 
-    def test_single_function_kinds(self):
-        seq = bell(5)
-        assert build_expression(ExprRequest("wronskian", k=3), seq) == wronskian(seq[3])
-        assert build_expression(
-            ExprRequest("extended_laguerre", k=3, n=1), seq
-        ) == wronskian(seq[3])
+    def test_extended_turan_with_reflect_and_shift(self):
+        seq = laguerre(8)
+        want = (
+            extended_turan(seq, 2, 2)
+            .compose_linear(-1, 0)
+            .compose_linear(1, F(1, 2))
+        )
+        assert build_expression(seq, 2, 2, True, F(1, 2)) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_expression(ExprRequest("nope", k=0), bell(3))
+            build_expression(bell(3), -1, 1, False, F(0))
         with pytest.raises(ValueError):
-            build_expression(ExprRequest("turan", k=-1), bell(3))
+            build_expression(bell(3), 0, 0, False, F(0))
         with pytest.raises(ValueError):
-            build_expression(ExprRequest("extended_turan", k=0, n=0), bell(3))
+            build_expression(bell(3), 0, 2, False, F(0))

@@ -37,11 +37,6 @@ def bell_cfg(**kw):
     return CampaignConfig(**base)
 
 
-def spoiler_builder(window, n, reflect, shift):
-    # plant a right-half-plane root to exercise the flag path
-    return harness._default_builder(window, n, reflect, shift) * Poly([-1, 1])
-
-
 class TestCampaign:
     def test_grid_shape_and_order(self):
         records = run_campaign(bell_cfg())
@@ -69,8 +64,14 @@ class TestCampaign:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_counterexample_flagging(self):
-        records = run_campaign(bell_cfg(k_max=2, n_max=1), builder=spoiler_builder)
+    def test_counterexample_flagging(self, monkeypatch):
+        def spoiler(window, k, n, reflect, shift):
+            # plant a right-half-plane root to exercise the flag path
+            built = expressions.build_expression(window, k, n, reflect, shift)
+            return built * Poly([-1, 1])
+
+        monkeypatch.setattr(harness, "build_expression", spoiler)
+        records = run_campaign(bell_cfg(k_max=2, n_max=1, jobs=1))
         assert all(r.flagged and not r.verdict for r in records)
 
     def test_tier_limits(self):
