@@ -27,25 +27,12 @@ from .sequences import SequenceSpec
 
 
 def _parse_spec(args) -> SequenceSpec:
-    family = args.family
-    kwargs = {}
-    if family == "jensen":
-        if not args.gamma:
-            raise ValueError("jensen requires --gamma")
-        kwargs["gamma"] = [Fraction(v) for v in args.gamma.split(",")]
-    elif family in ("type_a", "type_h"):
-        if not args.params:
-            raise ValueError(f"{family} requires --params")
-        values = [Fraction(v) for v in args.params.split(",")]
-        if family == "type_a":
-            if len(values) < 3:
-                raise ValueError("type_a params: a,b,c0[,c1,...]")
-            kwargs.update(a=values[0], b=values[1], c=values[2:])
-        else:
-            if len(values) != 3:
-                raise ValueError("type_h params: a,b,c")
-            kwargs.update(a=values[0], b=values[1], cscale=values[2])
-    return sequences.spec(family, **kwargs)
+    # jensen reads its parameters from --gamma, every other family from --params
+    flag, stray = ("gamma", "params") if args.family == "jensen" else ("params", "gamma")
+    if getattr(args, stray) is not None:
+        raise ValueError(f"--{stray} does not apply to --family {args.family}")
+    text = getattr(args, flag)
+    return sequences.spec(args.family, text.split(",") if text else ())
 
 
 def _emit_polys(polys, fmt: str) -> None:
@@ -98,6 +85,15 @@ def cmd_stability(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    k_lim, n_lim = TIER_LIMITS[args.tier]
+    for flag, value, lo, hi in (("--k-max", args.k_max, 0, k_lim),
+                                ("--n-max", args.n_max, 1, n_lim)):
+        if not lo <= value <= hi:
+            raise ValueError(
+                f"{flag} must be in {lo}..{hi} at --tier {args.tier}; got {value}"
+            )
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1; got {args.jobs}")
     out = os.path.abspath(args.out)
     out_dir = os.path.dirname(out)
     if not os.path.isdir(out_dir):
@@ -128,24 +124,26 @@ def cmd_campaign(args) -> int:
     return 1 if flagged else 0
 
 
+# the suites of ``verify``, by name; each takes the --seed value
+_SUITES = {
+    "fisk": lambda seed: harness.verify_fisk_counterexample(),
+    "cheby": lambda seed: harness.verify_chebyshev_closed_forms(20, 6),
+    "thm12": lambda seed: (
+        harness.verify_theorem_1_2(sequences.spec("bell"), 25)
+        and harness.verify_theorem_1_2(sequences.spec("hermite"), 12)
+        and harness.verify_theorem_1_2(harness.polar_unit_sequence(17), 15)
+    ),
+    "legendre": lambda seed: harness.verify_legendre_turan(20),
+    "wronskian": lambda seed: harness.verify_wronskian_strip(100, seed=seed),
+    "jensen": lambda seed: harness.verify_jensen_laguerre_relations(25, seed=seed),
+}
+
+
 def cmd_verify(args) -> int:
-    seed = args.seed
-    suites = {
-        "fisk": lambda: harness.verify_fisk_counterexample(),
-        "cheby": lambda: harness.verify_chebyshev_closed_forms(20, 6),
-        "thm12": lambda: (
-            harness.verify_theorem_1_2(sequences.spec("bell"), 25)
-            and harness.verify_theorem_1_2(sequences.spec("hermite"), 12)
-            and harness.verify_theorem_1_2(harness.polar_unit_sequence(17), 15)
-        ),
-        "legendre": lambda: harness.verify_legendre_turan(20),
-        "wronskian": lambda: harness.verify_wronskian_strip(100, seed=seed),
-        "jensen": lambda: harness.verify_jensen_laguerre_relations(25, seed=seed),
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in names:
-        passed = suites[name]()
+        passed = _SUITES[name](args.seed)
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
         ok = ok and passed
     if args.suite in ("jensen", "all"):
@@ -200,11 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=("fisk", "cheby", "thm12", "legendre", "wronskian", "jensen", "all"),
-    )
+    p.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -11,88 +11,23 @@ differential recurrences:
 * the downward "polar" maps (x*D - k) P_k = P_{k-1} and its scaled
   variant (k - x*D) P_k = k * P_{k-1}, which are verification targets,
   not generators, since they annihilate the top-degree term.
+
+One table maps each family name to its generator, its parameters and
+the hypotheses above; ``spec`` checks a family's parameters against it
+and ``generate`` runs the generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .polycore import Poly, Scalar
 
-FAMILIES = (
-    "bell",
-    "hermite",
-    "chebyshev_t",
-    "chebyshev_u",
-    "laguerre",
-    "legendre",
-    "bessel",
-    "jensen",
-    "type_a",
-    "type_h",
-)
-
 POLAR_UNIT = "polar_unit"      # (x*D - k) P_k = P_{k-1}
 POLAR_SCALED = "polar_scaled"  # (k - x*D) P_k = k * P_{k-1}
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Declarative description of a polynomial family.
-
-    Only the parameters relevant to ``family`` are consulted: ``gamma``
-    for jensen, ``(a, b, c)`` for type_a, ``(a, b, cscale)`` for type_h.
-    The named classical families take no parameters.
-    """
-
-    family: str
-    gamma: tuple[Fraction, ...] | None = None
-    a: Fraction | None = None
-    b: Fraction | None = None
-    c: tuple[Fraction, ...] | None = None
-    cscale: Fraction | None = None
-
-    def validate(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "jensen":
-            if self.gamma is None:
-                raise ValueError("jensen requires a gamma list")
-        elif self.family == "type_a":
-            if self.a is None or self.b is None or self.c is None:
-                raise ValueError("type_a requires a, b and the c list")
-            if self.a == 0:
-                raise ValueError("type_a requires a != 0")
-            if self.b < 0:
-                raise ValueError("type_a requires b >= 0")
-            if not self.c or self.c[0] <= 0:
-                raise ValueError("type_a requires c_0 > 0")
-            for prev, nxt in zip(self.c, self.c[1:]):
-                if nxt < prev:
-                    raise ValueError("type_a requires a non-decreasing c list")
-        elif self.family == "type_h":
-            if self.a is None or self.cscale is None:
-                raise ValueError("type_h requires a and cscale")
-            if self.a <= 0:
-                raise ValueError("type_h requires a > 0")
-            if self.cscale == 0:
-                raise ValueError("type_h requires cscale != 0")
-
-
-def spec(family: str, **kwargs) -> SequenceSpec:
-    """Build and validate a SequenceSpec; rational-valued fields are coerced."""
-    conv = dict(kwargs)
-    for key in ("a", "b", "cscale"):
-        if key in conv and conv[key] is not None:
-            conv[key] = Fraction(conv[key])
-    for key in ("gamma", "c"):
-        if key in conv and conv[key] is not None:
-            conv[key] = tuple(Fraction(v) for v in conv[key])
-    s = SequenceSpec(family, **conv)
-    s.validate()
-    return s
 
 
 # -- recurrence operators ---------------------------------------------
@@ -232,40 +167,104 @@ def type_a(a, b, c, k_max: int) -> list[Poly]:
     return seq
 
 
-def type_h(a, b, cscale, k_max: int) -> list[Poly]:
+def type_h(a, b, c, k_max: int) -> list[Poly]:
     """Type-H sequence from the seed P_0 = 1."""
     seq = [Poly.one()]
     for _ in range(k_max):
-        seq.append(apply_type_h(seq[-1], a, b, cscale))
+        seq.append(apply_type_h(seq[-1], a, b, c))
     return seq
+
+
+# -- the family table -------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """How one family reads its parameters.
+
+    ``params`` names them in order; a trailing ``...`` makes the last named
+    value the first of a list of one or more, which ``make`` receives as
+    one tuple.  ``rules`` are the theorem hypotheses as (text, test) pairs;
+    a test takes the arguments of ``make`` without ``k_max``.
+    """
+
+    params: str
+    make: Callable[..., list[Poly]]
+    rules: tuple = ()
+
+
+_TABLE = {
+    **{
+        f.__name__: _Family("", f)
+        for f in (bell, hermite, chebyshev_t, chebyshev_u, laguerre, legendre, bessel)
+    },
+    "jensen": _Family("gamma0,...", jensen),
+    "type_a": _Family("a,b,c0,...", type_a, (
+        ("a != 0", lambda a, b, c: a != 0),
+        ("b >= 0", lambda a, b, c: b >= 0),
+        ("c0 > 0", lambda a, b, c: c[0] > 0),
+        ("a non-decreasing c list",
+         lambda a, b, c: all(x <= y for x, y in zip(c, c[1:]))),
+    )),
+    "type_h": _Family("a,b,c", type_h, (
+        ("a > 0", lambda a, b, c: a > 0),
+        ("c != 0", lambda a, b, c: c != 0),
+    )),
+}
+
+FAMILIES = tuple(_TABLE)
+
+
+def _arguments(family: str, params: tuple) -> tuple:
+    """The generator arguments for ``params``, once the table's checks pass."""
+    if family not in _TABLE:
+        raise ValueError(f"unknown family {family!r}")
+    fam = _TABLE[family]
+    names = fam.params.split(",") if fam.params else []
+    if names[-1:] == ["..."]:
+        fixed = len(names) - 2
+        count_ok = len(params) > fixed
+        args = (*params[:fixed], tuple(params[fixed:]))
+    else:
+        count_ok = len(params) == len(names)
+        args = tuple(params)
+    if not count_ok:
+        wanted = f"parameters {fam.params}" if fam.params else "no parameters"
+        raise ValueError(f"{family} takes {wanted}; got {len(params)}")
+    for text, test in fam.rules:
+        if not test(*args):
+            raise ValueError(f"{family} requires {text}")
+    return args
+
+
+@dataclass(frozen=True)
+class SequenceSpec:
+    """A family name and its parameters, checked against the family table.
+
+    ``params`` come in the order ``turanstab gen --params`` takes them:
+    type_a ``a,b,c0,...``, type_h ``a,b,c``, jensen ``gamma0,...``; the
+    named classical families take none.  Construction raises ValueError
+    for an unknown family, a wrong number of parameters or a broken
+    hypothesis, so no invalid spec reaches a generator.
+    """
+
+    family: str
+    params: tuple[Fraction, ...] = ()
+
+    def __post_init__(self) -> None:
+        _arguments(self.family, self.params)
+
+
+def spec(family: str, params=()) -> SequenceSpec:
+    """A checked SequenceSpec, each parameter coerced with ``Fraction``
+    (so the text ``"1/2"`` is accepted too)."""
+    return SequenceSpec(family, tuple(Fraction(v) for v in params))
 
 
 def generate(s: SequenceSpec, k_max: int) -> list[Poly]:
     """P_0 .. P_{k_max} for the described family; exact throughout."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    s.validate()
-    if s.family == "bell":
-        return bell(k_max)
-    if s.family == "hermite":
-        return hermite(k_max)
-    if s.family == "chebyshev_t":
-        return chebyshev_t(k_max)
-    if s.family == "chebyshev_u":
-        return chebyshev_u(k_max)
-    if s.family == "laguerre":
-        return laguerre(k_max)
-    if s.family == "legendre":
-        return legendre(k_max)
-    if s.family == "bessel":
-        return bessel(k_max)
-    if s.family == "jensen":
-        return jensen(s.gamma, k_max)
-    if s.family == "type_a":
-        return type_a(s.a, s.b, s.c, k_max)
-    if s.family == "type_h":
-        return type_h(s.a, s.b, s.cscale, k_max)
-    raise ValueError(f"unknown family {s.family!r}")
+    return _TABLE[s.family].make(*_arguments(s.family, s.params), k_max)
 
 
 def verify_relation(seq: list[Poly], relation: str) -> bool:

@@ -24,7 +24,7 @@ matrix oracle used for randomized cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -78,16 +78,8 @@ class StabilityCertificate:
     v_minus: int
 
     def summary(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "degree": self.degree,
-            "gcd_degree": self.gcd_degree,
-            "gcd_all_real": self.gcd_all_real,
-            "p_upper": self.p_upper,
-            "chain_length": self.chain_length,
-            "v_plus": self.v_plus,
-            "v_minus": self.v_minus,
-        }
+        """The fields as a dict, in declaration order (the report format)."""
+        return asdict(self)
 
 
 # -- rotation ----------------------------------------------------------

@@ -147,6 +147,14 @@ class TestBadInput:
         ["turan", "--family", "bell", "--k", "1", "--shift", "1/0"],
         ["gen", "--family", "jensen", "--gamma", "1/0", "--k", "0"],
         ["gen", "--family", "type_h", "--params", "2,0,1/0", "--k", "1"],
+        ["gen", "--family", "type_h", "--params", "2,0", "--k", "1"],
+        ["gen", "--family", "type_a", "--params", "1,0,-1", "--k", "1"],
+        ["gen", "--family", "bell", "--params", "1,2", "--k", "1"],
+        ["gen", "--family", "bell", "--gamma", "1", "--k", "1"],
+        ["gen", "--family", "jensen", "--gamma", "1", "--params", "1", "--k", "0"],
+        ["campaign", "--family", "bell", "--k-max", "30", "--out", "r.jsonl"],
+        ["campaign", "--family", "bell", "--k-max", "2", "--jobs", "0",
+         "--out", "r.jsonl"],
     ])
     def test_one_line_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -174,6 +182,46 @@ class TestBadInput:
             main(["turan", "--family", "bell", "--k", "1", "--n", n])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "turanstab: error: --n must be >= 1\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--family", "bell", "--params", "1,2", "--k", "1"],
+         "bell takes no parameters; got 2"),
+        (["gen", "--family", "type_h", "--gamma", "1", "--k", "1"],
+         "--gamma does not apply to --family type_h"),
+        (["gen", "--family", "jensen", "--params", "1", "--k", "0"],
+         "--params does not apply to --family jensen"),
+        (["gen", "--family", "type_h", "--params", "2,0", "--k", "1"],
+         "type_h takes parameters a,b,c; got 2"),
+        (["gen", "--family", "type_h", "--params", "2,0,0", "--k", "1"],
+         "type_h requires c != 0"),
+    ])
+    def test_family_parameters(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"turanstab: error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k-max", "30"], "--k-max must be in 0..25 at --tier desk; got 30"),
+        (["--k-max", "-1"], "--k-max must be in 0..25 at --tier desk; got -1"),
+        (["--k-max", "2", "--n-max", "0"],
+         "--n-max must be in 1..3 at --tier desk; got 0"),
+        (["--k-max", "2", "--n-max", "6", "--tier", "full"],
+         "--n-max must be in 1..5 at --tier full; got 6"),
+        (["--k-max", "2", "--jobs", "0"], "--jobs must be >= 1; got 0"),
+    ])
+    def test_grid_flags_name_the_flag_and_range(
+        self, capsys, monkeypatch, tmp_path, flags, message
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("the grid was computed")
+
+        monkeypatch.setattr(harness, "run_campaign", fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--family", "bell", *flags,
+                  "--out", str(tmp_path / "r.jsonl")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"turanstab: error: {message}\n"
 
     def test_short_gamma_says_how_many(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,8 +17,11 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    # the campaign demo writes its reports under the temp directory
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # the campaign demo writes its reports under the temp directory, which
+    # it must leave empty
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -28,3 +31,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmpdir.iterdir())

@@ -148,7 +148,7 @@ class TestSuites:
         assert verify_theorem_1_2(sequences.spec("bell"), 8)
 
     def test_theorem_type_a_with_shift(self):
-        spec = sequences.spec("type_a", a=1, b=F(1, 2), c=[F(j + 1) for j in range(12)])
+        spec = sequences.spec("type_a", [1, F(1, 2), *range(1, 13)])
         assert verify_theorem_1_2(spec, 8)
 
     def test_theorem_hermite_small(self):

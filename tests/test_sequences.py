@@ -9,6 +9,7 @@ from turanstab.polycore import Poly
 from turanstab.sequences import (
     POLAR_SCALED,
     POLAR_UNIT,
+    SequenceSpec,
     apply_polar_down,
     apply_type_a,
     apply_type_h,
@@ -136,27 +137,43 @@ class TestRelations:
 class TestSpec:
     def test_generate_dispatch(self):
         assert generate(spec("bell"), 2) == bell(2)
-        assert generate(spec("jensen", gamma=[1, 1, 1]), 2) == jensen([1, 1, 1], 2)
-        got = generate(spec("type_a", a=1, b=0, c=[1, 1, 1]), 3)
+        assert generate(spec("jensen", [1, 1, 1]), 2) == jensen([1, 1, 1], 2)
+        got = generate(spec("type_a", [1, 0, 1, 1, 1]), 3)
         assert got == bell(3)
-        got_h = generate(spec("type_h", a=2, b=0, cscale=-1), 3)
+        got_h = generate(spec("type_h", ["2", "0", "-1"]), 3)
         assert got_h == hermite(3)
 
+    def test_params_are_fractions_in_table_order(self):
+        s = spec("type_a", ["1", "1/2", 1, 2])
+        assert s == SequenceSpec("type_a", (F(1), F(1, 2), F(1), F(2)))
+        assert all(type(v) is F for v in s.params)
+        assert spec("bell").params == ()
+
     def test_invariant_enforcement(self):
-        with pytest.raises(ValueError):
-            spec("type_a", a=0, b=0, c=[1])
-        with pytest.raises(ValueError):
-            spec("type_a", a=1, b=-1, c=[1])
-        with pytest.raises(ValueError):
-            spec("type_a", a=1, b=0, c=[2, 1])  # decreasing
-        with pytest.raises(ValueError):
-            spec("type_h", a=0, cscale=1)
-        with pytest.raises(ValueError):
-            spec("jensen")
+        cases = [
+            ("type_a", [0, 0, 1], "type_a requires a != 0"),
+            ("type_a", [1, -1, 1], "type_a requires b >= 0"),
+            ("type_a", [1, 0, 0], "type_a requires c0 > 0"),
+            ("type_a", [1, 0, 2, 1], "type_a requires a non-decreasing c list"),
+            ("type_a", [1, 0], "type_a takes parameters a,b,c0,...; got 2"),
+            ("type_h", [0, 0, 1], "type_h requires a > 0"),
+            ("type_h", [2, 0, 0], "type_h requires c != 0"),
+            ("type_h", [2, 0, 1, 1], "type_h takes parameters a,b,c; got 4"),
+            ("jensen", [], "jensen takes parameters gamma0,...; got 0"),
+            ("bell", [1, 2], "bell takes no parameters; got 2"),
+            ("nope", [], "unknown family 'nope'"),
+        ]
+        for family, params, message in cases:
+            with pytest.raises(ValueError) as exc:
+                spec(family, params)
+            assert str(exc.value) == message
+            # a spec built directly is checked the same way
+            with pytest.raises(ValueError):
+                SequenceSpec(family, tuple(params))
 
     def test_c_list_too_short(self):
         with pytest.raises(ValueError):
-            generate(spec("type_a", a=1, b=0, c=[1]), 3)
+            generate(spec("type_a", [1, 0, 1]), 3)
 
 
 class TestStructuralInvariants:
