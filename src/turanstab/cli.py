@@ -100,7 +100,7 @@ def cmd_campaign(args) -> int:
         raise OSError(f"cannot write report to {args.out}: no directory {out_dir}")
     if os.path.isdir(out):
         raise OSError(f"cannot write report to {args.out}: it is a directory")
-    if not os.access(out if os.path.exists(out) else out_dir, os.W_OK):
+    if not os.access(out_dir, os.W_OK):  # for the report's .partial file
         raise OSError(f"cannot write report to {args.out}: not writable")
     spec = _parse_spec(args)
     cfg = CampaignConfig(

@@ -25,12 +25,8 @@ from .polycore import Poly, Scalar
 
 
 def turan(seq: list[Poly], k: int) -> Poly:
-    """(P_{k+1})^2 - P_{k+2} * P_k, exactly."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if len(seq) < k + 3:
-        raise ValueError(f"sequence must reach index {k + 2}")
-    return seq[k + 1] * seq[k + 1] - seq[k + 2] * seq[k]
+    """(P_{k+1})^2 - P_{k+2} * P_k, exactly: the order-1 extended form."""
+    return extended_turan(seq, k, 1)
 
 
 def extended_turan(seq: list[Poly], k: int, n: int) -> Poly:
@@ -57,7 +53,7 @@ def extended_turan(seq: list[Poly], k: int, n: int) -> Poly:
 def extended_laguerre(f: Poly, n: int) -> Poly:
     """Order-n extended Laguerre expression of a single polynomial.
 
-    n = 0 gives f^2; n = 1 gives f'^2 - f f''; once 2n exceeds deg(f) every
+    n = 0 gives f^2; n = 1 gives f'^2 - f f''; once n exceeds deg(f) every
     derivative product vanishes and the result is the zero polynomial.
     """
     if f.is_zero:
@@ -77,11 +73,8 @@ def extended_laguerre(f: Poly, n: int) -> Poly:
 
 
 def wronskian(f: Poly) -> Poly:
-    """f'^2 - f'' f, the classical Laguerre expression of f."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    d = f.derivative()
-    return d * d - f.derivative().derivative() * f
+    """f'^2 - f'' f, the classical Laguerre expression of f: order 1."""
+    return extended_laguerre(f, 1)
 
 
 def fisk_expression(f: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:

@@ -15,6 +15,7 @@ gate, full (k <= 50, n <= 5) reproduces the long verification runs.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -129,17 +130,20 @@ def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
 def emit_reports(records: list[ReportRecord], path, with_timing: bool = False) -> None:
     """Write one JSON object per line, sorted by (family, k, n).
 
-    Timing is off by default so reports are byte-identical across runs and
-    across different ``jobs`` settings.
+    The lines go to ``<path>.partial``, which then replaces ``path``, so an
+    interrupted write never leaves a truncated report.  Timing is off by
+    default so reports are byte-identical across runs and ``jobs`` values.
     """
     ordered = sorted(records, key=ReportRecord.sort_key)
+    partial = f"{path}.partial"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(partial, "w", encoding="utf-8") as fh:
             for rec in ordered:
                 payload = {"schema": 1, **asdict(rec)}
                 if not with_timing:
                     del payload["elapsed_ms"]
                 fh.write(json.dumps(payload) + "\n")
+        os.replace(partial, path)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
@@ -280,8 +284,6 @@ def verify_wronskian_strip(samples: int, seed: int = DEFAULT_SEED) -> bool:
             root = random_rational(rng)
             poly = poly * Poly([-root, 1])
         w = expressions.wronskian(poly)
-        if w.is_zero:
-            continue  # degree-0 inputs only; never hit for degree >= 1
         if not nonvanishing_halfplane(w, 1, RIGHT_OF):
             return False
         if not nonvanishing_halfplane(w, -1, LEFT_OF):

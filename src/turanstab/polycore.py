@@ -1,8 +1,9 @@
 """Exact dense univariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` values kept in ascending degree order
-with no trailing zeros; the zero polynomial is the empty coefficient tuple
-and has no degree.  Everything here is exact: no floats, ever.
+A polynomial is integer numerators (ascending, no trailing zeros) over one
+positive denominator that shares no factor with all of them, so equal
+polynomials have equal fields; ``coeffs`` is the view as Fractions.  The
+zero polynomial has no numerators and no degree.  No floats, ever.
 
 The gcd runs over the integers with primitive (content-stripped) remainder
 sequences, because the naive rational Euclidean algorithm blows up the
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, str]
@@ -22,16 +24,31 @@ class Poly:
     """Immutable dense univariate polynomial with rational coefficients.
 
     ``Poly([0, -8, -2, 0, 1])`` is x^4 - 2x^2 - 8x.  Trailing zeros are
-    stripped on construction; ``Poly()`` is the zero polynomial.
+    stripped on construction; ``Poly()`` is the zero polynomial.  The
+    fields ``num`` (a list of ints) and ``den`` (an int) are read-only.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        # the lcm of the denominators shares no factor with all numerators
+        den = math.lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        self.num, self.den = num, den
+
+    @classmethod
+    def _of(cls, num: list[int], den: int) -> "Poly":
+        """The polynomial num/den, normalised; takes ownership of ``num``."""
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        p = cls.__new__(cls)
+        p.num = num if g == 1 else [c // g for c in num]
+        p.den = den // g
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -66,62 +83,68 @@ class Poly:
     # -- basic queries ------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, in ascending degree order."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def degree(self) -> int:
         """Degree of a nonzero polynomial; the zero polynomial has none."""
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.den, *self.num))
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.num]
+        b = [c * (den // other.den) for c in other.num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a[i] += c
+        return Poly._of(a, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return Poly._of([-c for c in self.num], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
+            a, b = self.num, other.num
             if not a or not b:
                 return Poly()
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
+            out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
                 if ca:
                     for j, cb in enumerate(b):
                         out[i + j] += ca * cb
-            return Poly(out)
+            return Poly._of(out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other: Scalar) -> "Poly":
@@ -129,9 +152,7 @@ class Poly:
 
     def scale(self, c: Scalar) -> "Poly":
         c = Fraction(c)
-        if c == 0:
-            return Poly()
-        return Poly(coeff * c for coeff in self.coeffs)
+        return Poly._of([x * c.numerator for x in self.num], self.den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -147,30 +168,39 @@ class Poly:
 
     def shift_x(self, n: int) -> "Poly":
         """Multiply by x^n."""
-        if self.is_zero:
-            return self
-        return Poly([Fraction(0)] * n + list(self.coeffs))
+        return Poly._of([0] * n + self.num, self.den)
 
     # -- calculus and substitution ------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i)
+        return Poly._of([i * c for i, c in enumerate(self.num) if i], self.den)
 
     def compose_linear(self, a: Scalar, b: Scalar) -> "Poly":
-        """Return p(a*x + b) expanded exactly (Horner in the linear map)."""
+        """Return p(a*x + b) expanded exactly.
+
+        With b = s/t and d = deg p, the integer Taylor shift by s of
+        t^d p(x/t), taken at t*x, is t^d p(x + b); x -> a*x then scales
+        the coefficient of x^i by a^i.
+        """
+        if not self.num:
+            return self
         a, b = Fraction(a), Fraction(b)
-        inner = Poly([b, a])
-        result = Poly()
-        for c in reversed(self.coeffs):
-            result = result * inner + Poly.constant(c)
-        return result
+        d = len(self.num) - 1
+        s, t = b.numerator, b.denominator
+        desc = [c * t**i for i, c in enumerate(reversed(self.num))]
+        if s:  # Horner: each pass divides by x - s, leaving one coefficient
+            for top in range(d + 1, 1, -1):
+                desc[:top] = accumulate(desc[:top], lambda acc, c: acc * s + c)
+        tu, v = t * a.numerator, a.denominator
+        out = [c * tu**i * v ** (d - i) for i, c in enumerate(reversed(desc))]
+        return Poly._of(out, self.den * (t * v) ** d)
 
     def __call__(self, x: Scalar) -> Fraction:
+        if not self.num:
+            return Fraction(0)
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        value = int_horner(self.num, x.numerator, x.denominator)
+        return Fraction(value, self.den * x.denominator ** (len(self.num) - 1))
 
     # -- division -----------------------------------------------------
 
@@ -179,25 +209,21 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        lead = div[-1]
-        if len(rem) < len(div):
+        rem, div = list(self.num), other.num
+        steps = len(rem) - len(div) + 1
+        if steps <= 0:
             return Poly(), self
-        quot = [Fraction(0)] * (len(rem) - len(div) + 1)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + len(div) - 1] / lead
-            if c:
-                quot[i] = c
-                for j, d in enumerate(div):
-                    rem[i + j] -= c * d
-        return Poly(quot), Poly(rem[: len(div) - 1])
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        # pseudo-division lead^steps * self.num = q * div + rem, where
+        # other = div / other.den; quot holds q * other.den
+        lead, quot = div[-1], [0] * steps
+        for i in range(steps - 1, -1, -1):
+            c = rem[i + len(div) - 1]
+            rem = [lead * r for r in rem]
+            quot[i] = c * lead**i * other.den  # lead^i: the i steps to come
+            for j, e in enumerate(div):
+                rem[i + j] -= c * e
+        den = self.den * lead**steps
+        return Poly._of(quot, den), Poly._of(rem[: len(div) - 1], den)
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
@@ -219,8 +245,9 @@ class Poly:
         if self.is_zero:
             return "0"
         terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        cs = self.coeffs
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -242,37 +269,30 @@ class Poly:
 # -- integer kernel ---------------------------------------------------
 #
 # The Euclidean/Sturm machinery works on dense integer coefficient lists.
-# Converting a rational polynomial to integers multiplies it by a positive
-# rational, which preserves signs and zeros.
+# The numerators of a polynomial are the polynomial times its positive
+# denominator, which preserves signs and zeros.
 
 IntPoly = list
 
 
 def clear_denominators(p: Poly) -> IntPoly:
-    """Integer coefficient list of d*p for the positive lcm d of denominators."""
-    if p.is_zero:
-        return []
-    d = 1
-    for c in p.coeffs:
-        d = d * c.denominator // math.gcd(d, c.denominator)
-    return [int(c * d) for c in p.coeffs]
-
-
-def int_content(f: Sequence[int]) -> int:
-    g = 0
-    for c in f:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
+    """The numerators of p as a new list: d*p for the lcm d of denominators."""
+    return list(p.num)
 
 
 def int_primitive(f: Sequence[int]) -> IntPoly:
     """Divide out the (positive) content; keeps the sign pattern."""
-    if not f:
-        return []
-    g = int_content(f)
+    g = math.gcd(*f)
     return [c // g for c in f]
+
+
+def int_horner(f: Sequence[int], p: int, q: int) -> int:
+    """q^d * f(p/q) for an integer list f of degree d, by Horner's rule."""
+    acc, q_pow = 0, 1
+    for c in reversed(f):
+        acc = acc * p + c * q_pow
+        q_pow *= q
+    return acc
 
 
 def int_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> tuple[IntPoly, bool]:
@@ -319,7 +339,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
             return Poly.one()
         r, _ = int_pseudo_rem(f, g)
         if not r:
-            return Poly(g).monic()
+            return Poly._of(g, g[-1])  # g / lc(g)
         f, g = g, int_primitive(r)
 
 
@@ -327,14 +347,10 @@ def squarefree_part(p: Poly) -> Poly:
     """Monic p / gcd(p, p'): same distinct roots, all simple."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no squarefree part")
-    if p.degree() == 0:
-        return Poly.one()
     return p.exact_div(gcd(p, p.derivative())).monic()
 
 
 def is_squarefree(p: Poly) -> bool:
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if p.degree() == 0:
-        return True
     return gcd(p, p.derivative()).degree() == 0

@@ -34,6 +34,7 @@ from .polycore import (
     Poly,
     Scalar,
     clear_denominators,
+    int_horner,
     int_primitive,
     int_pseudo_rem,
 )
@@ -84,25 +85,17 @@ class StabilityCertificate:
 
 # -- rotation ----------------------------------------------------------
 
-def _rotated_parts(coeffs):
-    """Real and imaginary coefficient lists of (-i)^n f(ix), n = deg f.
+def _rotated_parts(coeffs: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Real and imaginary integer lists of (-i)^n f(ix), n = deg f.
 
-    Works on any exact coefficients (integers or Fractions); the imaginary
-    list carries no trailing zeros, so it is empty when the part is zero.
+    The imaginary list carries no trailing zeros, so it is empty when the
+    part is zero.
     """
     n = len(coeffs) - 1
-    re = [0] * (n + 1)
-    im = [0] * (n + 1)
-    for j, c in enumerate(coeffs):
-        d = (j - n) % 4  # i^(j-n) cycles 1, i, -1, -i
-        if d == 0:
-            re[j] = c
-        elif d == 1:
-            im[j] = c
-        elif d == 2:
-            re[j] = -c
-        else:
-            im[j] = -c
+    # x^j gets the factor i^(j-n); i^m = cos(m pi/2) + i cos((m-1) pi/2)
+    cos = (1, 0, -1, 0)
+    re = [c * cos[(j - n) % 4] for j, c in enumerate(coeffs)]
+    im = [c * cos[(j - n - 1) % 4] for j, c in enumerate(coeffs)]
     while im and not im[-1]:
         im.pop()
     return re, im
@@ -116,8 +109,10 @@ def rotate(f: Poly) -> SplitPoly:
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    re, im = _rotated_parts(f.coeffs)
-    return SplitPoly(Poly(re), Poly(im))
+    num = clear_denominators(f)
+    re, im = _rotated_parts(num)
+    unit = f.leading / num[-1]  # 1/d for the d that cleared the denominators
+    return SplitPoly(Poly(re).scale(unit), Poly(im).scale(unit))
 
 
 # -- generalized Sturm chains -----------------------------------------
@@ -249,15 +244,9 @@ class SturmChain:
         # at x = p/q with q > 0, an element of degree d has the sign of the
         # integer q^d * f(p/q)
         x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        signs = []
-        for f in self._chain:
-            acc, q_pow = 0, 1
-            for c in reversed(f):
-                acc = acc * p + c * q_pow
-                q_pow *= q
-            signs.append(_sign(acc))
-        return _variations(signs)
+        return _variations(
+            [_sign(int_horner(f, x.numerator, x.denominator)) for f in self._chain]
+        )
 
     def count(self, lo: Optional[Scalar], hi: Optional[Scalar]) -> int:
         """Distinct real roots in the half-open interval (lo, hi]."""
@@ -293,9 +282,9 @@ def cauchy_bound(f: Poly) -> Fraction:
     """1 + max|a_i| / |a_n|: every root has absolute value below this."""
     if f.is_zero:
         raise ValueError("zero polynomial")
-    lead = abs(f.leading)
-    m = max((abs(c) for c in f.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lead
+    # the common denominator cancels from the ratio
+    num = clear_denominators(f)
+    return 1 + Fraction(max((abs(c) for c in num[:-1]), default=0), abs(num[-1]))
 
 
 def isolate_extreme_roots(
@@ -384,8 +373,8 @@ def coeff_sign_precheck(f: Poly) -> str:
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    coeffs = f.coeffs if f.leading > 0 else tuple(-c for c in f.coeffs)
-    if any(c < 0 for c in coeffs):
+    num = clear_denominators(f)
+    if any(c < 0 for c in (num if num[-1] > 0 else [-c for c in num])):
         return CERTAINLY_UNSTABLE
     return POSSIBLY_STABLE
 

@@ -59,6 +59,25 @@ class TestTuran:
         payload = json.loads(out)
         assert payload["n"] == 2 and payload["k"] == 1
 
+    # exact outputs, so that the normalised denominators of --format json
+    # are pinned
+    @pytest.mark.parametrize("argv, want", [
+        (("--family", "laguerre", "--k", "3", "--n", "2", "--reflect",
+          "--shift", "1/3"),
+         {"family": "laguerre", "k": 3, "n": 2, "coeffs":
+          "6804113/35712835200,2983811/1190427840,2300413/176359680,"
+          "746299/22044960,4795/104976,2311/72900,5887/466560,793/272160,"
+          "47/120960,1/36288,1/1209600"}),
+        (("--family", "jensen", "--gamma", "1/2,2/3,3/4,4/5,5/6,6/7",
+          "--k", "1", "--n", "2"),
+         {"family": "jensen", "k": 1, "n": 2,
+          "coeffs": "0,0,0,0,-7/2880,-1/315,-1/1400"}),
+    ])
+    def test_golden_json(self, capsys, argv, want):
+        code, out = run(capsys, "turan", *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(want) + "\n"
+
 
 class TestStability:
     def test_stable(self, capsys):

@@ -107,6 +107,25 @@ class TestReports:
         rec = json.loads(path.read_text().splitlines()[0])
         assert "elapsed_ms" in rec
 
+    def test_failed_write_leaves_the_old_report(self, tmp_path, monkeypatch):
+        records = run_campaign(bell_cfg(k_max=1, n_max=1))
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b"previous report\n")
+        dumps = json.dumps
+        calls = []
+
+        def dumps_then_fail(obj):
+            calls.append(obj)
+            if len(calls) > 1:
+                raise RuntimeError("killed mid-report")
+            return dumps(obj)
+
+        monkeypatch.setattr(harness.json, "dumps", dumps_then_fail)
+        with pytest.raises(RuntimeError):
+            emit_reports(records, path)
+        assert len(calls) == 2
+        assert path.read_bytes() == b"previous report\n"
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             emit_reports([], tmp_path / "missing" / "r.jsonl")

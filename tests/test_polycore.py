@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial core."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -185,11 +186,47 @@ def test_gcd_common_factor(p, q, g):
     assert gcd(p * g, q * g) == (g.monic() if g.degree() else Poly.one())
 
 
+def _assert_normalised(p):
+    # integer numerators over one positive denominator sharing no factor
+    # with all of them, and no trailing zero
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.num)
+    assert math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert Poly(p.coeffs) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=polys, q=nonzero_polys, c=rationals)
+def test_representation_invariants(p, q, c):
+    for r in (p, -p, p + q, p - p, p * q, p.scale(c), p.scale(-3), p.derivative(),
+              p.shift_x(2), *divmod(p, q), p.compose_linear(c or 1, c), q.monic()):
+        _assert_normalised(r)
+    # so equal polynomials have equal fields and hashes
+    pairs = ((p * q, q * p), ((p + q) - q, p), (p.scale(c).scale(2), p.scale(2 * c)))
+    for a, b in pairs:
+        assert a.coeffs == b.coeffs
+        assert (a.num, a.den) == (b.num, b.den) and hash(a) == hash(b)
+
+
+nonzero_rationals = rationals.filter(lambda c: c != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=polys, a=nonzero_rationals, b=rationals,
+       xs=st.lists(rationals, min_size=1, max_size=3))
+def test_compose_linear_evaluates_at_the_image(p, a, b, xs):
+    q = p.compose_linear(a, b)
+    assert q.is_zero == p.is_zero
+    for x in xs:
+        assert q(x) == p(a * x + b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=small_polys)
 def test_squarefree_part_properties(p):
     if p.is_zero:
         return
     s = squarefree_part(p)
-    assert (p % s).is_zero
+    assert divmod(p, s)[1].is_zero
     assert is_squarefree(s)
