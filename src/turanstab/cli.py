@@ -27,12 +27,7 @@ from .sequences import SequenceSpec
 
 
 def _parse_spec(args) -> SequenceSpec:
-    # jensen reads its parameters from --gamma, every other family from --params
-    flag, stray = ("gamma", "params") if args.family == "jensen" else ("params", "gamma")
-    if getattr(args, stray) is not None:
-        raise ValueError(f"--{stray} does not apply to --family {args.family}")
-    text = getattr(args, flag)
-    return sequences.spec(args.family, text.split(",") if text else ())
+    return sequences.spec(args.family, args.params.split(",") if args.params else ())
 
 
 def _emit_polys(polys, fmt: str) -> None:
@@ -160,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family(p):
         p.add_argument("--family", required=True, choices=sequences.FAMILIES)
-        p.add_argument("--gamma", help="comma-separated gamma list (jensen)")
-        p.add_argument("--params", help="comma-separated recurrence parameters")
+        p.add_argument("--params", help="comma-separated family parameters "
+                       "(type_a a,b,c0,...; type_h a,b,c; jensen gamma0,...)")
 
     p = sub.add_parser("gen", help="generate family members P_0..P_k")
     add_family(p)

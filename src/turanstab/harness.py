@@ -4,9 +4,11 @@ The campaigns sweep extended Turan expressions of a family over a
 (k, n) grid and record the exact stability verdict of every cell.  A
 cell builds its expression with ``expressions.build_expression`` from
 the window P_k .. P_{k+2n} of the sequence, reflected and shifted as the
-campaign asks, and decides it with ``stability.is_weakly_hurwitz``.  Any
-false verdict for a family whose stability is proved or conjectured is
-flagged prominently: it would be a counterexample to a published claim.
+campaign asks, and decides it with ``stability.is_weakly_hurwitz``.  Every
+false verdict is flagged, whatever the family.  For a family whose
+stability is proved or conjectured a flag would be a counterexample to a
+published claim; for another it may be expected (the Chebyshev T
+expressions are multiples of (1 - x^2)^n, which vanishes at x = 1).
 
 Two tiers bound the sweep ranges: desk (k <= 25, n <= 3) is the everyday
 gate, full (k <= 50, n <= 5) reproduces the long verification runs.
@@ -109,7 +111,8 @@ def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
 
     The unit of work is one (family, k, n) cell; workers share only the
     immutable sequence prefix, and results are sorted afterwards so the
-    report does not depend on ``jobs``.
+    report does not depend on ``jobs``.  The pool has at most one worker
+    per cell and per CPU, however large ``jobs`` is.
     """
     cfg.validate()
     seq = sequences.generate(cfg.family, 2 * cfg.n_max + cfg.k_max)
@@ -118,10 +121,11 @@ def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
         for n in range(1, cfg.n_max + 1):
             window = seq[k : k + 2 * n + 1]
             args.append((cfg.family.family, k, n, window, cfg.reflect, cfg.shift))
-    if cfg.jobs == 1:
+    workers = min(cfg.jobs, len(args), os.cpu_count() or 1)
+    if workers == 1:
         raw = [_run_cell(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_cell, args, chunksize=1))
     records = sorted(raw, key=ReportRecord.sort_key)
     return records

@@ -1,16 +1,22 @@
 """Generators for the polynomial families and their recurrence operators.
 
-Families come in two flavours: named classical families (Bell, Hermite,
-Chebyshev, Laguerre, Legendre, Bessel, Jensen) and abstract first-order
-differential recurrences:
+There are four generators, one per recurrence shape, and each named
+family is an instance of one of them:
 
 * type A:  P_{k+1} = a*(x+b)*(D + c_k) P_k   with a != 0, b >= 0 and a
-  positive non-decreasing coefficient list c;
-* type H:  P_{k+1} = c*(-a*x + b + D) P_k    with a > 0, c != 0
-  (Hermite is the instance (a, b, c) = (2, 0, -1));
-* the downward "polar" maps (x*D - k) P_k = P_{k-1} and its scaled
-  variant (k - x*D) P_k = k * P_{k-1}, which are verification targets,
-  not generators, since they annihilate the top-degree term.
+  positive non-decreasing coefficient list c.  Bell is a = 1, b = 0 and
+  every c_k = 1.
+* type H:  P_{k+1} = c*(-a*x + b + D) P_k    with a > 0, c != 0.
+  Hermite is (a, b, c) = (2, 0, -1).
+* Jensen:  g_n = sum_k C(n,k) gamma_k x^k for a gamma list.  Laguerre is
+  gamma_j = (-1)^j / j!.
+* three-term:  P_0 = 1, P_1 = p1, P_{k+1} = alpha(k)*x*P_k - beta(k)*P_{k-1}.
+  Chebyshev T is (p1, alpha, beta) = (x, 2, 1), Chebyshev U (2x, 2, 1),
+  Legendre (x, (2k+1)/(k+1), k/(k+1)) and Bessel (1 + x, 2k+1, -1).
+
+The downward "polar" maps (x*D - k) P_k = P_{k-1} and its scaled variant
+(k - x*D) P_k = k * P_{k-1} are verification targets, not generators,
+since they annihilate the top-degree term; ``verify_relation`` checks them.
 
 One table maps each family name to its generator, its parameters and
 the hypotheses above; ``spec`` checks a family's parameters against it
@@ -50,93 +56,53 @@ def apply_type_h(p: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:
     return (Poly([b, -a]) * p + p.derivative()).scale(c)
 
 
-def apply_polar_down(p: Poly, k: int) -> Poly:
-    """The downward polar map x*p' - k*p; kills the x^k term of a degree-k p."""
-    if k < 1:
-        raise ValueError("polar map needs k >= 1")
-    if p.is_zero or p.degree() != k:
-        raise ValueError(f"polar map at k={k} needs a polynomial of degree {k}")
-    return p.derivative().shift_x(1) - p.scale(k)
-
-
 # -- named family generators ------------------------------------------
+
+def _three_term(p1: Poly, alpha, beta, k_max: int) -> list[Poly]:
+    """P_0 = 1, P_1 = p1, P_{k+1} = alpha(k)*x*P_k - beta(k)*P_{k-1}."""
+    seq = [Poly.one(), p1][: k_max + 1]
+    for k in range(1, k_max):
+        seq.append(seq[-1].shift_x(1).scale(alpha(k)) - seq[-2].scale(beta(k)))
+    return seq
+
 
 def bell(k_max: int) -> list[Poly]:
     """Univariate Bell (Touchard) polynomials: B_{k+1} = x*(B_k + B_k')."""
-    seq = [Poly.one()]
-    for _ in range(k_max):
-        b = seq[-1]
-        seq.append((b + b.derivative()).shift_x(1))
-    return seq
+    return type_a(1, 0, [1] * k_max, k_max)
 
 
 def hermite(k_max: int) -> list[Poly]:
     """Physicists' Hermite polynomials via H_k = (2x - D) H_{k-1}."""
-    seq = [Poly.one()]
-    for _ in range(k_max):
-        h = seq[-1]
-        seq.append(Poly([0, 2]) * h - h.derivative())
-    return seq
+    return type_h(2, 0, -1, k_max)
 
 
 def chebyshev_t(k_max: int) -> list[Poly]:
     """Chebyshev polynomials of the first kind, T_{k+1} = 2x*T_k - T_{k-1}."""
-    seq = [Poly.one()]
-    if k_max >= 1:
-        seq.append(Poly.x())
-    for _ in range(k_max - 1):
-        seq.append(Poly([0, 2]) * seq[-1] - seq[-2])
-    return seq
+    return _three_term(Poly.x(), lambda k: 2, lambda k: 1, k_max)
 
 
 def chebyshev_u(k_max: int) -> list[Poly]:
     """Chebyshev polynomials of the second kind, U_{k+1} = 2x*U_k - U_{k-1}."""
-    seq = [Poly.one()]
-    if k_max >= 1:
-        seq.append(Poly([0, 2]))
-    for _ in range(k_max - 1):
-        seq.append(Poly([0, 2]) * seq[-1] - seq[-2])
-    return seq
+    return _three_term(Poly([0, 2]), lambda k: 2, lambda k: 1, k_max)
 
 
 def laguerre(k_max: int) -> list[Poly]:
-    """Laguerre polynomials from the closed form L_k = sum C(k,j)(-x)^j / j!."""
-    seq = []
-    for k in range(k_max + 1):
-        coeffs = [
-            Fraction((-1) ** j * math.comb(k, j), math.factorial(j))
-            for j in range(k + 1)
-        ]
-        seq.append(Poly(coeffs))
-    return seq
+    """Laguerre polynomials L_k = sum C(k,j)(-x)^j / j!: Jensen polynomials
+    of gamma_j = (-1)^j / j!."""
+    return jensen(
+        [Fraction((-1) ** j, math.factorial(j)) for j in range(k_max + 1)], k_max
+    )
 
 
 def legendre(k_max: int) -> list[Poly]:
     """Legendre polynomials, (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
-    seq = [Poly.one()]
-    if k_max >= 1:
-        seq.append(Poly.x())
-    for k in range(1, k_max):
-        nxt = (Poly([0, 2 * k + 1]) * seq[-1] - seq[-2].scale(k)).scale(
-            Fraction(1, k + 1)
-        )
-        seq.append(nxt)
-    return seq
+    return _three_term(Poly.x(), lambda k: Fraction(2 * k + 1, k + 1),
+                       lambda k: Fraction(k, k + 1), k_max)
 
 
 def bessel(k_max: int) -> list[Poly]:
-    """Bessel polynomials Y_k = sum_j (k+j)! / (2^j j! (k-j)!) x^j."""
-    seq = []
-    for k in range(k_max + 1):
-        coeffs = [
-            Fraction(
-                math.factorial(k + j),
-                (1 << j) * math.factorial(j) * math.factorial(k - j),
-            )
-            for j in range(k + 1)
-        ]
-        seq.append(Poly(coeffs))
-    return seq
+    """Bessel polynomials, Y_{k+1} = (2k+1) x Y_k + Y_{k-1} from Y_1 = 1 + x."""
+    return _three_term(Poly([1, 1]), lambda k: 2 * k + 1, lambda k: -1, k_max)
 
 
 def jensen(gamma, k_max: int) -> list[Poly]:
@@ -147,10 +113,8 @@ def jensen(gamma, k_max: int) -> list[Poly]:
             f"jensen needs {k_max + 1} gamma values (gamma0..gamma{k_max}); "
             f"got {len(gamma)}"
         )
-    seq = []
-    for n in range(k_max + 1):
-        seq.append(Poly(math.comb(n, k) * gamma[k] for k in range(n + 1)))
-    return seq
+    return [Poly(math.comb(n, k) * gamma[k] for k in range(n + 1))
+            for n in range(k_max + 1)]
 
 
 def type_a(a, b, c, k_max: int) -> list[Poly]:
@@ -271,20 +235,15 @@ def verify_relation(seq: list[Poly], relation: str) -> bool:
     """Exact check of a downward polar relation over a whole sequence.
 
     ``polar_unit`` checks (x*D - k) P_k = P_{k-1}; ``polar_scaled`` checks
-    (k - x*D) P_k = k * P_{k-1}.  Members must have degree exactly k, except
-    that degree drops are tolerated for Jensen-style sequences only when a
-    leading gamma vanishes, in which case the relation is still well defined.
+    (k - x*D) P_k = k * P_{k-1}.  Member degrees are not checked, so a
+    Jensen sequence whose degree drops where a gamma vanishes is checked
+    like any other.
     """
     if relation not in (POLAR_UNIT, POLAR_SCALED):
         raise ValueError(f"unknown relation {relation!r}")
-    for k in range(1, len(seq)):
-        p, prev = seq[k], seq[k - 1]
-        lhs = p.derivative().shift_x(1) - p.scale(k)
-        if relation == POLAR_UNIT:
-            if lhs != prev:
-                return False
-        else:
-            # (k - x*D) P_k = -(x*D - k) P_k
-            if -lhs != prev.scale(k):
-                return False
-    return True
+    # (k - x*D) P_k = k * P_{k-1} is (x*D - k) P_k = -k * P_{k-1}
+    return all(
+        p.derivative().shift_x(1) - p.scale(k)
+        == (prev if relation == POLAR_UNIT else prev.scale(-k))
+        for k, (prev, p) in enumerate(zip(seq, seq[1:]), 1)
+    )

@@ -68,7 +68,7 @@ class TestTuran:
           "6804113/35712835200,2983811/1190427840,2300413/176359680,"
           "746299/22044960,4795/104976,2311/72900,5887/466560,793/272160,"
           "47/120960,1/36288,1/1209600"}),
-        (("--family", "jensen", "--gamma", "1/2,2/3,3/4,4/5,5/6,6/7",
+        (("--family", "jensen", "--params", "1/2,2/3,3/4,4/5,5/6,6/7",
           "--k", "1", "--n", "2"),
          {"family": "jensen", "k": 1, "n": 2,
           "coeffs": "0,0,0,0,-7/2880,-1/315,-1/1400"}),
@@ -164,13 +164,13 @@ class TestBadInput:
         ["campaign", "--family", "bell", "--k-max", "2", "--out", "."],
         ["stability", "--poly", "1/0"],
         ["turan", "--family", "bell", "--k", "1", "--shift", "1/0"],
-        ["gen", "--family", "jensen", "--gamma", "1/0", "--k", "0"],
+        ["gen", "--family", "jensen", "--params", "1/0", "--k", "0"],
         ["gen", "--family", "type_h", "--params", "2,0,1/0", "--k", "1"],
         ["gen", "--family", "type_h", "--params", "2,0", "--k", "1"],
         ["gen", "--family", "type_a", "--params", "1,0,-1", "--k", "1"],
         ["gen", "--family", "bell", "--params", "1,2", "--k", "1"],
-        ["gen", "--family", "bell", "--gamma", "1", "--k", "1"],
-        ["gen", "--family", "jensen", "--gamma", "1", "--params", "1", "--k", "0"],
+        ["gen", "--family", "jensen", "--params", "1,x", "--k", "1"],
+        ["turan", "--family", "jensen", "--params", "1,1", "--k", "0"],
         ["campaign", "--family", "bell", "--k-max", "30", "--out", "r.jsonl"],
         ["campaign", "--family", "bell", "--k-max", "2", "--jobs", "0",
          "--out", "r.jsonl"],
@@ -205,10 +205,10 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, message", [
         (["gen", "--family", "bell", "--params", "1,2", "--k", "1"],
          "bell takes no parameters; got 2"),
-        (["gen", "--family", "type_h", "--gamma", "1", "--k", "1"],
-         "--gamma does not apply to --family type_h"),
-        (["gen", "--family", "jensen", "--params", "1", "--k", "0"],
-         "--params does not apply to --family jensen"),
+        (["gen", "--family", "jensen", "--k", "0"],
+         "jensen takes parameters gamma0,...; got 0"),
+        (["gen", "--family", "type_a", "--params", "0,0,1", "--k", "1"],
+         "type_a requires a != 0"),
         (["gen", "--family", "type_h", "--params", "2,0", "--k", "1"],
          "type_h takes parameters a,b,c; got 2"),
         (["gen", "--family", "type_h", "--params", "2,0,0", "--k", "1"],
@@ -244,7 +244,7 @@ class TestBadInput:
 
     def test_short_gamma_says_how_many(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["gen", "--family", "jensen", "--gamma", "1,2", "--k", "5"])
+            main(["gen", "--family", "jensen", "--params", "1,2", "--k", "5"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
             "turanstab: error: jensen needs 6 gamma values (gamma0..gamma5); got 2\n"

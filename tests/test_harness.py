@@ -1,7 +1,9 @@
 """Campaign sweeps, JSONL reports and the verification suites."""
 
 import json
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -74,6 +76,35 @@ class TestCampaign:
         records = run_campaign(bell_cfg(k_max=2, n_max=1, jobs=1))
         assert all(r.flagged and not r.verdict for r in records)
 
+    @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2), (None, None)])
+    def test_pool_has_one_worker_per_cell_and_cpu_at_most(
+        self, monkeypatch, cpus, workers
+    ):
+        # an in-process stand-in, so no worker process is ever started
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        records = run_campaign(bell_cfg(k_max=2, n_max=1, jobs=1_000_000))
+        # three cells; one worker runs them in this process, without a pool
+        assert started == ([workers] if workers else [])
+        assert [(r.k, r.n, r.verdict) for r in records] == [
+            (0, 1, True), (1, 1, True), (2, 1, True),
+        ]
+
     def test_tier_limits(self):
         with pytest.raises(ValueError):
             bell_cfg(k_max=30, tier="desk").validate()
@@ -145,6 +176,31 @@ class TestReports:
         path = tmp_path / f"{name}-desk.jsonl"
         emit_reports(run_campaign(cfg), path)
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
+
+    @pytest.mark.parametrize("family, reflect, name", [
+        ("bell", False, "bell"),
+        ("laguerre", True, "laguerre-reflected"),
+        ("bessel", False, "bessel"),
+    ])
+    def test_full_report_sample_matches_golden(self, tmp_path, family, reflect, name):
+        # the golden files are the full-tier reports (k <= 50, n <= 5); the
+        # whole grid takes half a minute, so recompute the deepest row,
+        # k = 50, and a seeded draw of two more cells
+        lines = {}
+        for line in (GOLDEN / f"{name}-full.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            lines[rec["k"], rec["n"]] = line
+        cells = sorted({(50, n) for n in range(1, 6)} | set(
+            random.Random(DEFAULT_SEED).sample(sorted(lines), 2)))
+        seq = sequences.generate(sequences.spec(family), 60)
+        args = [(family, k, n, seq[k : k + 2 * n + 1], reflect, F(0))
+                for k, n in cells]
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            records = list(pool.map(harness._run_cell, args))
+        path = tmp_path / "sample.jsonl"
+        emit_reports(records, path)
+        assert path.read_text().splitlines() == [lines[cell] for cell in cells]
 
 
 class TestSuites:

@@ -1,5 +1,6 @@
 """Family generators, recurrence operators and the polar relations."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from turanstab.sequences import (
     POLAR_SCALED,
     POLAR_UNIT,
     SequenceSpec,
-    apply_polar_down,
     apply_type_a,
     apply_type_h,
     bell,
@@ -81,6 +81,23 @@ class TestNamedFamilies:
         seq = jensen([1, 1, 0], 2)
         assert seq[2].degree() == 1
 
+    # sha256 of the to_text() lines of P_0..P_60, each ending in a newline:
+    # the literal tests above stop at degree 4
+    DIGESTS_60 = {
+        bell: "616b493a50b7ed28547f4df2ff5a7ad27ff980c691fc56c64cf7e560dc3a0332",
+        hermite: "10e07647ff3d23df72ac8b14e2c1d1c2c0804b90eb54f6f8179e91473e0a85b3",
+        chebyshev_t: "012fe7889a560535741a7791296222172cb2e0338944075738749dbf2fb87d01",
+        chebyshev_u: "18d69ea2bdc629917d689440c63b21fd551ae0d625ace9c8e279edf8953b2068",
+        laguerre: "04f0584b950541f08bfd12e281a1969d7f02291d51e86369ef93a80abf1e2a3a",
+        legendre: "9bc7f804943a72ca79dad872e354f0917f4a0e7b18f0c93ed36bef3f331870b3",
+        bessel: "dcdcae4083ca796c7e9c13dc2e67b147fe7b2600d3ba0b9123cdbf15f98c3c6a",
+    }
+
+    @pytest.mark.parametrize("family", DIGESTS_60, ids=lambda f: f.__name__)
+    def test_members_to_degree_60_are_pinned(self, family):
+        text = "".join(p.to_text() + "\n" for p in family(60))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS_60[family]
+
 
 class TestOperators:
     def test_type_a_bell_step(self):
@@ -106,17 +123,6 @@ class TestOperators:
             apply_type_h(P(1), -1, 0, 1)
         with pytest.raises(ValueError):
             apply_type_h(P(1), 1, 0, 0)
-
-    def test_polar_down_annihilates_monomial(self):
-        assert apply_polar_down(P(0, 0, 1), 2).is_zero
-
-    def test_polar_down_values(self):
-        assert apply_polar_down(P(1, 2, 1), 2) == P(-2, -2)
-        assert apply_polar_down(P(1, 1), 1) == P(-1)
-
-    def test_polar_down_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_polar_down(P(1, 1), 2)
 
 
 class TestRelations:
