@@ -26,8 +26,23 @@ from .polycore import Poly
 from .sequences import SequenceSpec
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    """``text`` as a Fraction; text that is not a rational (``x``, ``1/0``)
+    is a ValueError that names the flag and the text."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: {text.strip()!r} is not a rational number") from None
+
+
+def _rationals(flag: str, text: str) -> list[Fraction]:
+    return [_rational(flag, entry) for entry in text.split(",")]
+
+
 def _parse_spec(args) -> SequenceSpec:
-    return sequences.spec(args.family, args.params.split(",") if args.params else ())
+    return sequences.spec(
+        args.family, _rationals("--params", args.params) if args.params else ()
+    )
 
 
 def _emit_polys(polys, fmt: str) -> None:
@@ -57,8 +72,8 @@ def cmd_turan(args) -> int:
         raise ValueError("--n must be >= 1")
     spec = _parse_spec(args)
     seq = sequences.generate(spec, 2 * args.n + args.k)
-    expr = build_expression(seq, args.k, args.n, args.reflect,
-                            Fraction(args.shift or 0))
+    shift = _rational("--shift", args.shift or "0")
+    expr = build_expression(seq, args.k, args.n, args.reflect, shift)
     if args.format == "json":
         print(json.dumps({"family": spec.family, "k": args.k, "n": args.n,
                           "coeffs": expr.to_text()}))
@@ -68,7 +83,7 @@ def cmd_turan(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    poly = Poly.from_text(args.poly)
+    poly = Poly(_rationals("--poly", args.poly))
     if poly.is_zero:
         raise ValueError("the zero polynomial has no stability verdict")
     cert = stability.is_weakly_hurwitz(poly)
@@ -103,7 +118,7 @@ def cmd_campaign(args) -> int:
         k_max=args.k_max,
         n_max=args.n_max,
         reflect=args.reflect,
-        shift=Fraction(args.shift or 0),
+        shift=_rational("--shift", args.shift or "0"),
         jobs=args.jobs,
         tier=args.tier,
     )
@@ -206,8 +221,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         # bad input: one stderr line, and argparse's usage-error exit code
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except ZeroDivisionError as exc:  # a rational such as 1/0
-        parser.exit(2, f"{parser.prog}: error: division by zero: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,29 @@ sign is thus multiplied by the same sign of the monic gcd, so V(+-inf)
 and the chain length equal those of the quotient chain.  The same
 counter decides strict interlacing (``interlace_check``), by the
 Hermite-Biehler theorem.
+
+Fast path.  Write f = x^m h with h(0) != 0 and the leading coefficient of
+h positive.  By the Routh-Hurwitz theorem (Gantmacher, The Theory of
+Matrices II, ch. XV), h is strictly Hurwitz stable iff all deg h + 1
+entries of the first column of its Routh array are positive.  For
+deg h >= 32 and positive coefficients, ``_routh_data`` runs the
+fraction-free Routh recurrence in integer intervals: rows stay exact
+until one exceeds 8 (deg h + 1) bits, then each row is shifted right to
+that many bits, lower bounds floored and upper bounds ceiled.  A positive
+scale of a row changes no sign, so positive lower bounds certify h.
+The certificate then has a closed form: the rotated parts of h are
+coprime and their chain is normal, of length deg h + 1, so p = deg h;
+since V(+-inf) <= deg h, 2p = deg h + V(+inf) - V(-inf) forces
+V(+inf) = deg h and V(-inf) = 0, and the factor x^m multiplies every
+chain element, so the gcd is x^m.  Any doubt (a lower bound <= 0, a
+coefficient <= 0, a lower degree) falls through to the exact chain.  The
+gate at degree 32 keeps small inputs off the fast path: below it a
+failed attempt adds 30-50% to the exact chain, against about 12% at
+degree 32-48 and 4% at degree 96, because the chain's coefficients grow
+with the degree and the interval rows do not.  (Where the chain stays
+small, as for an axis pair times small linear factors, a failed attempt
+can cost as much again as the chain itself.)
+
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
 matrix oracle used for randomized cross-checking.
@@ -211,6 +234,44 @@ def _halfplane_data(re: IntPoly, im: IntPoly):
     return twice_p // 2, g, len(chain), v_plus, v_minus
 
 
+_ROUTH_MIN_DEGREE = 32  # below it a failed attempt costs too much; see above
+
+
+def _routh_data(num: IntPoly):
+    """``_halfplane_data`` of the rotated parts of num, in closed form,
+    when the interval Routh test certifies num / x^m strictly Hurwitz
+    stable; None when it does not try or does not certify.
+    """
+    if len(num) <= _ROUTH_MIN_DEGREE:  # most verdicts; skip the stripping
+        return None
+    m = next(i for i, c in enumerate(num) if c)
+    h = num[m:] if num[-1] > 0 else [-c for c in num[m:]]
+    d = len(h) - 1
+    if d < _ROUTH_MIN_DEGREE or min(h) <= 0:
+        return None
+    bits = 8 * (d + 1)
+    # rows as (lower, upper) bound lists; a row is exact while they agree
+    prev, row = (h[d::-2],) * 2, (h[d - 1 :: -2],) * 2
+    for _ in range(d - 1):
+        c1, c2, a1, a2 = prev[0][0], prev[1][0], row[0][0], row[1][0]
+        lo, hi = [], []
+        # r_{k+1}[j] = r_k[0] r_{k-1}[j+1] - r_{k-1}[0] r_k[j+1], where
+        # a = r_k[0] and c = r_{k-1}[0] are positive intervals
+        for j in range(1, len(prev[0])):
+            b1, b2 = prev[0][j], prev[1][j]
+            e1, e2 = (row[0][j], row[1][j]) if j < len(row[0]) else (0, 0)
+            lo.append((a1 if b1 >= 0 else a2) * b1 - (c2 if e2 >= 0 else c1) * e2)
+            hi.append((a2 if b2 >= 0 else a1) * b2 - (c1 if e1 >= 0 else c2) * e1)
+        shift = max(max(hi), -min(lo)).bit_length() - bits  # lo <= hi
+        if shift > 0:
+            lo = [v >> shift for v in lo]
+            hi = [-(-v >> shift) for v in hi]
+        if lo[0] <= 0:
+            return None
+        prev, row = row, (lo, hi)
+    return d, [0] * m + [1], d + 1, d, 0
+
+
 def upper_halfplane_count(h: SplitPoly) -> tuple[int, Poly]:
     """Zeros of h in the open upper half-plane, plus gcd(re, im).
 
@@ -332,7 +393,9 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     Verdict is true iff f has no zero with Re > 0: all zeros of the rotated
     polynomial must sit in the closed upper half-plane, i.e. the gcd of the
     rotated parts must be fully real-rooted and the quotient's open-upper
-    count must exhaust its degree.
+    count must exhaust its degree.  A strictly stable f / x^m of degree
+    >= 32 with positive coefficients is certified by the interval Routh
+    test instead of the chain, with the same certificate (module docstring).
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
@@ -348,8 +411,9 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
             v_plus=0,
             v_minus=0,
         )
-    p, g, chain_length, v_plus, v_minus = _halfplane_data(
-        *_rotated_parts(clear_denominators(f))
+    num = clear_denominators(f)
+    p, g, chain_length, v_plus, v_minus = _routh_data(num) or _halfplane_data(
+        *_rotated_parts(num)
     )
     gcd_degree = len(g) - 1
     gcd_all_real = gcd_degree == 0 or all_roots_real(Poly(g))

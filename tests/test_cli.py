@@ -242,6 +242,34 @@ class TestBadInput:
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"turanstab: error: {message}\n"
 
+    @pytest.mark.parametrize("argv, flag, entry", [
+        (["stability", "--poly", "1,x"], "--poly", "x"),
+        (["stability", "--poly", "1,0,1/0"], "--poly", "1/0"),
+        (["turan", "--family", "bell", "--k", "1", "--shift", "abc"],
+         "--shift", "abc"),
+        (["campaign", "--family", "bell", "--k-max", "2", "--shift", "1/0"],
+         "--shift", "1/0"),
+        (["gen", "--family", "jensen", "--params", "1,x", "--k", "1"],
+         "--params", "x"),
+        (["campaign", "--family", "type_a", "--params", "1,0,1/0", "--k-max",
+          "0"], "--params", "1/0"),
+    ])
+    def test_unparsable_rational_names_flag_and_entry(
+        self, capsys, monkeypatch, tmp_path, argv, flag, entry
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("the grid was computed")
+
+        monkeypatch.setattr(harness, "run_campaign", fail)
+        if argv[0] == "campaign":
+            argv = [*argv, "--out", str(tmp_path / "r.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"turanstab: error: {flag}: {entry!r} is not a rational number\n"
+        )
+
     def test_short_gamma_says_how_many(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "jensen", "--params", "1,2", "--k", "5"])

@@ -1,9 +1,7 @@
 """Campaign sweeps, JSONL reports and the verification suites."""
 
 import json
-import multiprocessing
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -182,25 +180,16 @@ class TestReports:
         ("laguerre", True, "laguerre-reflected"),
         ("bessel", False, "bessel"),
     ])
-    def test_full_report_sample_matches_golden(self, tmp_path, family, reflect, name):
-        # the golden files are the full-tier reports (k <= 50, n <= 5); the
-        # whole grid takes half a minute, so recompute the deepest row,
-        # k = 50, and a seeded draw of two more cells
-        lines = {}
-        for line in (GOLDEN / f"{name}-full.jsonl").read_text().splitlines():
-            rec = json.loads(line)
-            lines[rec["k"], rec["n"]] = line
-        cells = sorted({(50, n) for n in range(1, 6)} | set(
-            random.Random(DEFAULT_SEED).sample(sorted(lines), 2)))
-        seq = sequences.generate(sequences.spec(family), 60)
-        args = [(family, k, n, seq[k : k + 2 * n + 1], reflect, F(0))
-                for k, n in cells]
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
-            records = list(pool.map(harness._run_cell, args))
-        path = tmp_path / "sample.jsonl"
-        emit_reports(records, path)
-        assert path.read_text().splitlines() == [lines[cell] for cell in cells]
+    def test_full_report_matches_golden(self, tmp_path, family, reflect, name):
+        # the golden files are the full-tier reports (k <= 50, n <= 5),
+        # written with jobs=2; every cell of degree >= 32 takes the interval
+        # Routh fast path, so the whole grid is recomputed in a few seconds
+        k_max, n_max = harness.TIER_LIMITS["full"]
+        cfg = CampaignConfig(family=sequences.spec(family), k_max=k_max,
+                             n_max=n_max, reflect=reflect, jobs=2, tier="full")
+        path = tmp_path / f"{name}-full.jsonl"
+        emit_reports(run_campaign(cfg), path)
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
 
 
 class TestSuites:

@@ -1,12 +1,13 @@
 """Rotation, Sturm chains, root isolation and the stability verdict."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from turanstab import polycore, stability
+from turanstab import expressions, harness, polycore, sequences, stability
 from turanstab.polycore import Poly
 from turanstab.sequences import hermite
 from turanstab.stability import (
@@ -557,3 +558,117 @@ def test_interlace_matches_isolation_reference(case):
     assert got == _isolation_reference(f, g)
     if forced:
         assert got
+
+
+# -- the interval Routh fast path against the exact chain --------------
+
+def _monic_gcd(data):
+    p, g, *counts = data
+    return (p, Poly(g).monic(), *counts)
+
+
+def _both_paths(f):
+    """(fast, exact) half-plane data of f, gcds made monic; fast is None
+    when the interval Routh test does not certify f."""
+    num = polycore.clear_denominators(f)
+    exact = stability._halfplane_data(*stability._rotated_parts(num))
+    fast = stability._routh_data(num)
+    return fast and _monic_gcd(fast), _monic_gcd(exact)
+
+
+def _gated_in(f):
+    """f = x^m h with deg h >= 32: the cells the fast path must certify."""
+    num = polycore.clear_denominators(f)
+    return len(num) - next(i for i, c in enumerate(num) if c) > 32
+
+
+def _campaign_cells(tier):
+    k_max, n_max = harness.TIER_LIMITS[tier]
+    for family, reflect in (("bell", False), ("laguerre", True), ("bessel", False)):
+        seq = sequences.generate(sequences.spec(family), k_max + 2 * n_max)
+        for k in range(k_max + 1):
+            for n in range(1, n_max + 1):
+                expr = expressions.build_expression(seq, k, n, reflect, 0)
+                yield (family, k, n), expr
+
+
+def test_routh_certifies_every_desk_cell_past_the_gate():
+    certified = 0
+    for cell, expr in _campaign_cells("desk"):
+        fast, exact = _both_paths(expr)
+        if _gated_in(expr):
+            assert fast == exact, cell
+            certified += 1
+        else:
+            assert fast is None, cell
+    assert certified == 90
+
+
+def test_routh_matches_exact_chain_on_full_tier_sample():
+    cells = [(cell, expr) for cell, expr in _campaign_cells("full") if _gated_in(expr)]
+    for cell, expr in random.Random(harness.DEFAULT_SEED).sample(cells, 9):
+        fast, exact = _both_paths(expr)
+        assert fast == exact, cell
+
+
+_positive = st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
+
+
+@st.composite
+def _stable_times_monomial(draw):
+    """c x^m prod(linear) prod(quadratic), strictly stable apart from x^m,
+    of degree 32..120 (the gate and the campaigns' top degree)."""
+    degree = draw(st.integers(min_value=32, max_value=120))
+    pairs = draw(st.lists(st.tuples(_positive, _positive), max_size=degree // 2))
+    roots = draw(st.lists(_positive, min_size=degree - 2 * len(pairs),
+                          max_size=degree - 2 * len(pairs)))
+    f = _product("linear", [-a for a in roots], 1)
+    for a, b in pairs:
+        f = f * _factor("pair", -a, b)
+    m = draw(st.integers(min_value=0, max_value=5))
+    return f * P(*[0] * m, draw(_nonzero))
+
+
+@settings(max_examples=10, deadline=None)
+@given(f=_stable_times_monomial())
+def test_routh_matches_exact_chain_on_stable_products(f):
+    fast, exact = _both_paths(f)
+    assert fast == exact
+    assert is_weakly_hurwitz(f).verdict
+
+
+# zeros -1..-20 and -j +- i for j = 1..6: strictly stable, degree 32
+_BASE = _product("linear", range(-20, 0), 1) * _product("pair", range(-6, 0), 1)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 5, F(1, 3), F(7, 2)])
+@pytest.mark.parametrize("base", [_BASE, _BASE * P(1, 1) ** 5], ids=["deg32", "deg37"])
+def test_routh_refuses_an_imaginary_axis_pair(base, b):
+    f = base * _factor("axis", 0, b)
+    assert min(polycore.clear_denominators(f)) > 0  # the interval test runs
+    fast, exact = _both_paths(f)
+    assert fast is None
+    assert is_weakly_hurwitz(f).gcd_degree == 2
+
+
+@pytest.mark.parametrize("b", [1, 3, F(1, 2)])
+def test_routh_refuses_a_hair_unstable_pair(b):
+    f = _BASE * _factor("pair", F(1, 2**40), b)  # just right of the axis
+    assert min(polycore.clear_denominators(f)) > 0  # the interval test runs
+    fast, exact = _both_paths(f)
+    assert fast is None
+    assert not is_weakly_hurwitz(f).verdict
+
+
+@pytest.mark.parametrize("f", [
+    _BASE.exact_div(P(1, 1)),  # degree 31, below the gate
+    Poly([*_BASE.num[:5], 0, *_BASE.num[6:]]),  # a zero coefficient
+    Poly([*_BASE.num[:5], -1, *_BASE.num[6:]]),  # a negative coefficient
+], ids=["degree-31", "zero-coefficient", "negative-coefficient"])
+def test_routh_does_not_try(f):
+    assert stability._routh_data(polycore.clear_denominators(f)) is None
+
+
+def test_routh_certifies_at_the_gate():
+    fast, exact = _both_paths(_BASE * P(0, 0, -3))
+    assert fast == exact == (32, P(0, 0, 1), 33, 32, 0)
