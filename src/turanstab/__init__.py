@@ -12,7 +12,6 @@ from .stability import (
     isolate_extreme_roots,
     nonvanishing_halfplane,
     rotate,
-    sturm_real_count,
     all_roots_real,
 )
 from .expressions import (
@@ -42,7 +41,6 @@ __all__ = [
     "interlace_check",
     "isolate_extreme_roots",
     "nonvanishing_halfplane",
-    "sturm_real_count",
     "all_roots_real",
     "build_expression",
     "turan",

@@ -25,16 +25,14 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import factorial
 
-from . import expressions, polycore, sequences, stability
+from . import expressions, sequences, stability
 from .expressions import build_expression
 from .polycore import Poly
 from .sequences import POLAR_SCALED, POLAR_UNIT, SequenceSpec
 from .stability import (
     CERTAINLY_UNSTABLE,
-    INCONCLUSIVE,
     LEFT_OF,
     RIGHT_OF,
-    STABLE,
     is_weakly_hurwitz,
     nonvanishing_halfplane,
 )
@@ -107,12 +105,12 @@ def _run_cell(args) -> ReportRecord:
 
 
 def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
-    """Stability verdicts over the (k, n) grid, merged in deterministic order.
+    """Stability verdicts over the (k, n) grid, in (k, n) order.
 
     The unit of work is one (family, k, n) cell; workers share only the
-    immutable sequence prefix, and results are sorted afterwards so the
-    report does not depend on ``jobs``.  The pool has at most one worker
-    per cell and per CPU, however large ``jobs`` is.
+    immutable sequence prefix, and ``pool.map`` keeps the (k, n) order of
+    the cells, so the records do not depend on ``jobs``.  The pool has at
+    most one worker per cell and per CPU, however large ``jobs`` is.
     """
     cfg.validate()
     seq = sequences.generate(cfg.family, 2 * cfg.n_max + cfg.k_max)
@@ -123,12 +121,9 @@ def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
             args.append((cfg.family.family, k, n, window, cfg.reflect, cfg.shift))
     workers = min(cfg.jobs, len(args), os.cpu_count() or 1)
     if workers == 1:
-        raw = [_run_cell(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_cell, args, chunksize=1))
-    records = sorted(raw, key=ReportRecord.sort_key)
-    return records
+        return [_run_cell(a) for a in args]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_cell, args, chunksize=1))
 
 
 def emit_reports(records: list[ReportRecord], path, with_timing: bool = False) -> None:
@@ -339,46 +334,3 @@ def question_probe_jensen(k_max: int, source_degree: int = 16) -> list[tuple[int
         out.append((k, verdict))
     return out
 
-
-# -- randomized oracle agreement --------------------------------------
-
-def random_squarefree_poly(
-    rng: random.Random, max_degree: int = 8, coeff_bound: int = 9
-) -> Poly:
-    """Random squarefree integer polynomial of degree 1..max_degree."""
-    while True:
-        degree = rng.randint(1, max_degree)
-        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(degree)]
-        lead = 0
-        while lead == 0:
-            lead = rng.randint(-coeff_bound, coeff_bound)
-        poly = Poly(coeffs + [lead])
-        if polycore.is_squarefree(poly):
-            return poly
-
-
-def oracle_agreement(
-    samples: int = 1000, seed: int = DEFAULT_SEED, max_degree: int = 8
-) -> tuple[int, int, list[Poly]]:
-    """Compare the exact verdict with the numeric oracle on random
-    squarefree polynomials whose roots stay clear of the imaginary axis.
-
-    Returns (agreements, total, mismatches); a correct implementation has
-    agreements == total and no mismatches.
-    """
-    rng = random.Random(seed)
-    agreements = 0
-    total = 0
-    mismatches: list[Poly] = []
-    while total < samples:
-        poly = random_squarefree_poly(rng, max_degree=max_degree)
-        verdict = stability.cross_check_oracle(poly)
-        if verdict == INCONCLUSIVE:
-            continue
-        total += 1
-        exact = is_weakly_hurwitz(poly).verdict
-        if exact == (verdict == STABLE):
-            agreements += 1
-        else:
-            mismatches.append(poly)
-    return agreements, total, mismatches

@@ -53,32 +53,12 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls([1])
 
     @classmethod
     def x(cls) -> "Poly":
         return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
-        return cls([Fraction(c)])
-
-    @classmethod
-    def from_text(cls, text: str) -> "Poly":
-        """Parse the comma-separated ascending coefficient format.
-
-        Example: ``"0,-8,-2,0,1"`` denotes x^4 - 2x^2 - 8x.  Entries are
-        ``n`` or ``n/d`` in base 10.
-        """
-        text = text.strip()
-        if not text:
-            return cls()
-        return cls(Fraction(part.strip()) for part in text.split(","))
 
     # -- basic queries ------------------------------------------------
 
@@ -348,9 +328,3 @@ def squarefree_part(p: Poly) -> Poly:
     if p.is_zero:
         raise ValueError("the zero polynomial has no squarefree part")
     return p.exact_div(gcd(p, p.derivative())).monic()
-
-
-def is_squarefree(p: Poly) -> bool:
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    return gcd(p, p.derivative()).degree() == 0

@@ -140,13 +140,13 @@ def rotate(f: Poly) -> SplitPoly:
 
 # -- generalized Sturm chains -----------------------------------------
 
-def _int_chain(f0: IntPoly, f1: IntPoly, strip_content: bool = True) -> list[IntPoly]:
+def _int_chain(f0: IntPoly, f1: IntPoly) -> list[IntPoly]:
     """Euclidean chain f_{k+1} = -rem(f_{k-1}, f_k), over the integers.
 
     Each element may be replaced by a positive integer multiple (that is
-    what ``strip_content`` and the pseudo-division multipliers amount to),
-    which leaves every sign-variation count unchanged.  The chain ends at
-    the last non-zero element, the gcd of f0 and f1 up to positive scale.
+    what stripping the content and the pseudo-division multipliers amount
+    to), which leaves every sign-variation count unchanged.  The chain ends
+    at the last non-zero element, the gcd of f0 and f1 up to positive scale.
     """
     if not f0:
         raise ValueError("f0 must be non-zero")
@@ -156,24 +156,8 @@ def _int_chain(f0: IntPoly, f1: IntPoly, strip_content: bool = True) -> list[Int
         if not r:
             break
         nxt = [-c for c in r] if positive else r
-        chain.append(int_primitive(nxt) if strip_content else nxt)
+        chain.append(int_primitive(nxt))
     return chain
-
-
-def euclid_chain(f0: Poly, f1: Poly, strip_content: bool = True) -> list[Poly]:
-    """Generalized Sturm chain of f0, f1 as polynomials.
-
-    Elements are positive rational multiples of the exact chain, which is
-    all the sign-variation machinery ever needs.
-    """
-    if f0.is_zero:
-        raise ValueError("f0 must be non-zero")
-    if not f1.is_zero and f1.degree() >= f0.degree():
-        raise ValueError("need deg(f1) < deg(f0)")
-    ints = _int_chain(
-        clear_denominators(f0), clear_denominators(f1), strip_content=strip_content
-    )
-    return [Poly(c) for c in ints]
 
 
 def _sign(x) -> int:
@@ -197,16 +181,6 @@ def _variations_at_infinity_ints(chain: list[IntPoly], direction: int) -> int:
             s = -s
         signs.append(s)
     return _variations(signs)
-
-
-def sign_variations_at_infinity(chain: list[Poly], direction: str) -> int:
-    """Variation count V at +inf or -inf, from leading coefficients only."""
-    if direction not in ("+inf", "-inf"):
-        raise ValueError("direction must be '+inf' or '-inf'")
-    if not chain:
-        raise ValueError("empty chain")
-    ints = [clear_denominators(p) for p in chain]
-    return _variations_at_infinity_ints(ints, +1 if direction == "+inf" else -1)
 
 
 # -- the half-plane counter -------------------------------------------
@@ -322,13 +296,6 @@ class SturmChain:
             else self.variations_at(hi)
         )
         return v_lo - v_hi
-
-
-def sturm_real_count(
-    f: Poly, lo: Optional[Scalar] = None, hi: Optional[Scalar] = None
-) -> int:
-    """Distinct real roots of f in (lo, hi]; None endpoints mean -inf/+inf."""
-    return SturmChain(f).count(lo, hi)
 
 
 def all_roots_real(f: Poly) -> bool:

@@ -1,0 +1,87 @@
+"""Reference implementations the tests compare the library against.
+
+They stay out of ``turanstab`` because no code of the package, its demos
+or its benchmark calls them.
+"""
+
+import random
+
+from turanstab import polycore, stability
+from turanstab.harness import DEFAULT_SEED
+from turanstab.polycore import Poly, int_primitive, int_pseudo_rem
+from turanstab.stability import INCONCLUSIVE, STABLE, is_weakly_hurwitz
+
+
+def is_squarefree(p: Poly) -> bool:
+    return polycore.gcd(p, p.derivative()).degree() == 0
+
+
+# -- Sturm chains as polynomials ---------------------------------------
+
+def euclid_chain(f0: Poly, f1: Poly, strip_content: bool = True) -> list[Poly]:
+    """Generalized Sturm chain f_{k+1} = -rem(f_{k-1}, f_k) of f0, f1 with
+    deg(f1) < deg(f0).  Each element is a positive multiple of the exact
+    one; without ``strip_content`` it is the raw pseudo-remainder."""
+    chain = [f0.num, f1.num] if f1 else [f0.num]
+    while len(chain) >= 2:
+        r, positive = int_pseudo_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        nxt = [-c for c in r] if positive else r
+        chain.append(int_primitive(nxt) if strip_content else nxt)
+    return [Poly(c) for c in chain]
+
+
+def sign_variations_at_infinity(chain: list[Poly], direction: str) -> int:
+    """Sign changes along the chain at "+inf" or "-inf", read off the
+    leading coefficients."""
+    signs = []
+    for p in chain:
+        if p:
+            odd_at_minus = direction == "-inf" and p.degree() % 2 == 1
+            signs.append((p.leading > 0) != odd_at_minus)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+# -- the exact verdict against the numeric oracle ----------------------
+
+def random_squarefree_poly(
+    rng: random.Random, max_degree: int = 8, coeff_bound: int = 9
+) -> Poly:
+    """Random squarefree integer polynomial of degree 1..max_degree."""
+    while True:
+        degree = rng.randint(1, max_degree)
+        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(degree)]
+        lead = 0
+        while lead == 0:
+            lead = rng.randint(-coeff_bound, coeff_bound)
+        poly = Poly(coeffs + [lead])
+        if is_squarefree(poly):
+            return poly
+
+
+def oracle_agreement(
+    samples: int = 1000, seed: int = DEFAULT_SEED, max_degree: int = 8
+) -> tuple[int, int, list[Poly]]:
+    """Compare the exact verdict with the numeric oracle on random
+    squarefree polynomials whose roots stay clear of the imaginary axis.
+
+    Returns (agreements, total, mismatches); a correct implementation has
+    agreements == total and no mismatches.
+    """
+    rng = random.Random(seed)
+    agreements = 0
+    total = 0
+    mismatches: list[Poly] = []
+    while total < samples:
+        poly = random_squarefree_poly(rng, max_degree=max_degree)
+        verdict = stability.cross_check_oracle(poly)
+        if verdict == INCONCLUSIVE:
+            continue
+        total += 1
+        exact = is_weakly_hurwitz(poly).verdict
+        if exact == (verdict == STABLE):
+            agreements += 1
+        else:
+            mismatches.append(poly)
+    return agreements, total, mismatches

@@ -110,7 +110,7 @@ class TestExtendedLaguerre:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            extended_laguerre(Poly.zero(), 1)
+            extended_laguerre(Poly(), 1)
 
 
 class TestWronskian:

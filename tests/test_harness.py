@@ -13,10 +13,8 @@ from turanstab.harness import (
     DEFAULT_SEED,
     EXTREME_ROOT_TOL,
     emit_reports,
-    oracle_agreement,
     polar_unit_sequence,
     question_probe_jensen,
-    random_squarefree_poly,
     run_campaign,
     verify_chebyshev_closed_forms,
     verify_fisk_counterexample,
@@ -27,6 +25,8 @@ from turanstab.harness import (
 )
 from turanstab.polycore import Poly
 from turanstab.sequences import POLAR_UNIT
+
+from oracles import is_squarefree, oracle_agreement, random_squarefree_poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -241,12 +241,10 @@ class TestSuites:
 class TestOracleAgreement:
     def test_random_squarefree(self):
         rng = random.Random(DEFAULT_SEED)
-        from turanstab import polycore
-
         for _ in range(25):
             p = random_squarefree_poly(rng, max_degree=6)
             assert 1 <= p.degree() <= 6
-            assert polycore.is_squarefree(p)
+            assert is_squarefree(p)
 
     def test_agreement_sample(self):
         agreements, total, mismatches = oracle_agreement(samples=60)

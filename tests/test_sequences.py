@@ -207,7 +207,7 @@ class TestStructuralInvariants:
         for q in quotients:
             if q.degree() >= 1:
                 assert stability.all_roots_real(q)
-                assert stability.sturm_real_count(q, 0, None) == 0
+                assert stability.SturmChain(q).count(0, None) == 0
                 assert q(0) != 0
         for k in range(2, 15):
             assert stability.interlace_check(seq[k], seq[k - 1], shared_root=0)
