@@ -21,7 +21,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial
 
@@ -104,13 +104,26 @@ def _run_cell(args) -> ReportRecord:
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
     """Stability verdicts over the (k, n) grid, in (k, n) order.
 
     The unit of work is one (family, k, n) cell; workers share only the
-    immutable sequence prefix, and ``pool.map`` keeps the (k, n) order of
-    the cells, so the records do not depend on ``jobs``.  The pool has at
-    most one worker per cell and per CPU, however large ``jobs`` is.
+    immutable sequence prefix, and the records are put back in (k, n)
+    order, so they do not depend on ``jobs``.  The pool has at most one
+    worker per cell and per CPU this process may run on, however large
+    ``jobs`` is; with one worker the cells run in this process.  A pool
+    gets the cells heaviest first (largest k + n, so largest degree
+    2(k + n)) in about four chunks per worker: one task per cell would
+    cost a round trip each, and a long cell sent last would leave the
+    other workers idle.
     """
     cfg.validate()
     seq = sequences.generate(cfg.family, 2 * cfg.n_max + cfg.k_max)
@@ -119,11 +132,14 @@ def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
         for n in range(1, cfg.n_max + 1):
             window = seq[k : k + 2 * n + 1]
             args.append((cfg.family.family, k, n, window, cfg.reflect, cfg.shift))
-    workers = min(cfg.jobs, len(args), os.cpu_count() or 1)
+    workers = min(cfg.jobs, len(args), _usable_cpus())
     if workers == 1:
         return [_run_cell(a) for a in args]
+    heaviest_first = sorted(args, key=lambda a: a[1] + a[2], reverse=True)
+    chunksize = -(-len(args) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, args, chunksize=1))
+        records = pool.map(_run_cell, heaviest_first, chunksize=chunksize)
+        return sorted(records, key=ReportRecord.sort_key)
 
 
 def emit_reports(records: list[ReportRecord], path, with_timing: bool = False) -> None:
@@ -138,7 +154,9 @@ def emit_reports(records: list[ReportRecord], path, with_timing: bool = False) -
     try:
         with open(partial, "w", encoding="utf-8") as fh:
             for rec in ordered:
-                payload = {"schema": 1, **asdict(rec)}
+                # a shallow copy: the certificate dict is shared, only read
+                payload = {"schema": 1}
+                payload.update((f.name, getattr(rec, f.name)) for f in fields(rec))
                 if not with_timing:
                     del payload["elapsed_ms"]
                 fh.write(json.dumps(payload) + "\n")

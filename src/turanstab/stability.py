@@ -47,7 +47,7 @@ matrix oracle used for randomized cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -103,7 +103,7 @@ class StabilityCertificate:
 
     def summary(self) -> dict:
         """The fields as a dict, in declaration order (the report format)."""
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # -- rotation ----------------------------------------------------------

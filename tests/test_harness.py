@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -29,6 +30,44 @@ from turanstab.sequences import POLAR_UNIT
 from oracles import is_squarefree, oracle_agreement, random_squarefree_poly
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Stand in for the campaign's process pool in this process, so no
+    worker process is ever started; each pool records its worker count and
+    the cells and chunk size given to ``map``."""
+    calls = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.call = {"max_workers": max_workers}
+            calls.append(self.call)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            cells = list(iterable)
+            self.call.update(cells=cells, chunksize=chunksize)
+            return map(fn, cells)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return calls
+
+
+def set_cpus(monkeypatch, affinity, cpus):
+    """``affinity`` CPUs in this process's mask (None: the platform has no
+    masks) out of ``cpus`` on the machine."""
+    if affinity is None:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(affinity)))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
 
 
 def bell_cfg(**kw):
@@ -74,33 +113,40 @@ class TestCampaign:
         records = run_campaign(bell_cfg(k_max=2, n_max=1, jobs=1))
         assert all(r.flagged and not r.verdict for r in records)
 
-    @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2), (None, None)])
+    @pytest.mark.parametrize("affinity, cpus, workers", [
+        pytest.param(8, 8, 3, id="8-3"),
+        pytest.param(2, 2, 2, id="2-2"),
+        # a platform without affinity masks that cannot count its CPUs
+        pytest.param(None, None, None, id="None-None"),
+        # pinned to one of eight CPUs, as under taskset -c 0
+        pytest.param(1, 8, None, id="1of8-None"),
+    ])
     def test_pool_has_one_worker_per_cell_and_cpu_at_most(
-        self, monkeypatch, cpus, workers
+        self, monkeypatch, pool_calls, affinity, cpus, workers
     ):
-        # an in-process stand-in, so no worker process is ever started
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        set_cpus(monkeypatch, affinity, cpus)
         records = run_campaign(bell_cfg(k_max=2, n_max=1, jobs=1_000_000))
         # three cells; one worker runs them in this process, without a pool
-        assert started == ([workers] if workers else [])
+        assert [c["max_workers"] for c in pool_calls] == ([workers] if workers else [])
         assert [(r.k, r.n, r.verdict) for r in records] == [
             (0, 1, True), (1, 1, True), (2, 1, True),
+        ]
+
+    def test_pool_gets_heaviest_cells_first_in_few_chunks(
+        self, monkeypatch, pool_calls
+    ):
+        set_cpus(monkeypatch, 2, 2)
+        records = run_campaign(bell_cfg(k_max=6, n_max=3, jobs=2))
+        [call] = pool_calls
+        sizes = [cell[1] + cell[2] for cell in call["cells"]]
+        assert sizes == sorted(sizes, reverse=True)
+        chunks = -(-len(call["cells"]) // call["chunksize"])
+        assert chunks <= 4 * call["max_workers"]
+        keys = [(r.k, r.n) for r in records]
+        assert keys == sorted(keys) and len(keys) == 7 * 3
+        in_process = run_campaign(bell_cfg(k_max=6, n_max=3, jobs=1))
+        assert [replace(r, elapsed_ms=0.0) for r in records] == [
+            replace(r, elapsed_ms=0.0) for r in in_process
         ]
 
     def test_tier_limits(self):
