@@ -27,7 +27,7 @@ from math import factorial
 
 from . import expressions, sequences, stability
 from .expressions import build_expression
-from .polycore import Poly
+from .polycore import Poly, int_horner
 from .sequences import POLAR_SCALED, POLAR_UNIT, SequenceSpec
 from .stability import (
     CERTAINLY_UNSTABLE,
@@ -276,7 +276,8 @@ def verify_legendre_turan(k_max: int) -> bool:
     for k in range(k_max + 1):
         expr = expressions.turan(seq, k)
         for x in grid:
-            value = expr(x)
+            # q^d * den * expr(p/q) with q, den > 0: the sign of expr(x)
+            value = int_horner(expr.num, x.numerator, x.denominator)
             if abs(x) == 1:
                 if value != 0:
                     return False

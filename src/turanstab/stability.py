@@ -21,24 +21,33 @@ Hermite-Biehler theorem.
 Fast path.  Write f = x^m h with h(0) != 0 and the leading coefficient of
 h positive.  By the Routh-Hurwitz theorem (Gantmacher, The Theory of
 Matrices II, ch. XV), h is strictly Hurwitz stable iff all deg h + 1
-entries of the first column of its Routh array are positive.  For
-deg h >= 32 and positive coefficients, ``_routh_data`` runs the
-fraction-free Routh recurrence in integer intervals: rows stay exact
-until one exceeds 8 (deg h + 1) bits, then each row is shifted right to
-that many bits, lower bounds floored and upper bounds ceiled.  A positive
+entries of the first column of its Routh array are positive.  For h with
+positive coefficients that passes the gate below, ``_routh_data`` runs
+the fraction-free Routh recurrence in integer intervals: rows stay exact
+until one exceeds P = 8 (deg h + 1) bits, then each row is shifted right
+to P bits, lower bounds floored and upper bounds ceiled.  A positive
 scale of a row changes no sign, so positive lower bounds certify h.
 The certificate then has a closed form: the rotated parts of h are
 coprime and their chain is normal, of length deg h + 1, so p = deg h;
 since V(+-inf) <= deg h, 2p = deg h + V(+inf) - V(-inf) forces
 V(+inf) = deg h and V(-inf) = 0, and the factor x^m multiplies every
 chain element, so the gcd is x^m.  Any doubt (a lower bound <= 0, a
-coefficient <= 0, a lower degree) falls through to the exact chain.  The
-gate at degree 32 keeps small inputs off the fast path: below it a
-failed attempt adds 30-50% to the exact chain, against about 12% at
-degree 32-48 and 4% at degree 96, because the chain's coefficients grow
-with the degree and the interval rows do not.  (Where the chain stays
-small, as for an axis pair times small linear factors, a failed attempt
-can cost as much again as the chain itself.)
+coefficient <= 0, an h outside the gate) falls through to the exact
+chain.
+
+The gate.  The test is tried for deg h >= 32, and for 2 <= deg h < 32
+when the primitive part of h has a coefficient at least P bits wide, so
+a large constant factor does not let an input in.  At degree 32-48 a
+failed attempt adds about 12% to the exact chain and at degree 96 about
+4%, because the chain's coefficients grow with the degree and the
+interval rows do not; below degree 32 a narrow input would pay 30-50%,
+and where the chain stays small (an axis pair times small linear
+factors) as much again as the chain.  A wide input is the other way
+round: the chain carries its full width from the first step, the rows
+only P bits.  The shifted Hermite windows of ``verify --suite thm12``
+(degree <= 24, up to 938 bits) cost about 14 times less than on the
+chain, and a failed attempt on a wide input of degree 8-20 costs 0.2-0.7
+of the chain.
 
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
@@ -47,6 +56,7 @@ matrix oracle used for randomized cross-checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
@@ -208,7 +218,9 @@ def _halfplane_data(re: IntPoly, im: IntPoly):
     return twice_p // 2, g, len(chain), v_plus, v_minus
 
 
-_ROUTH_MIN_DEGREE = 32  # below it a failed attempt costs too much; see above
+# from this degree any h is tried, since a failed attempt costs little
+# beside the exact chain; below it only a wide h is ("The gate" above)
+_ROUTH_MIN_DEGREE = 32
 
 
 def _routh_data(num: IntPoly):
@@ -216,14 +228,21 @@ def _routh_data(num: IntPoly):
     when the interval Routh test certifies num / x^m strictly Hurwitz
     stable; None when it does not try or does not certify.
     """
-    if len(num) <= _ROUTH_MIN_DEGREE:  # most verdicts; skip the stripping
-        return None
-    m = next(i for i, c in enumerate(num) if c)
-    h = num[m:] if num[-1] > 0 else [-c for c in num[m:]]
-    d = len(h) - 1
-    if d < _ROUTH_MIN_DEGREE or min(h) <= 0:
+    m = 0 if num[0] else next(i for i, c in enumerate(num) if c)
+    d = len(num) - 1 - m
+    if d < 2:
         return None
     bits = 8 * (d + 1)
+    if d < _ROUTH_MIN_DEGREE:
+        # the width of h's primitive part, where every coefficient of h is
+        # positive (else the sign test below refuses); the gcd only for a
+        # wide h, since the primitive part is never wider than h
+        top = max(num) if num[-1] > 0 else -min(num)
+        if top.bit_length() < bits or (top // math.gcd(*num)).bit_length() < bits:
+            return None
+    h = num[m:] if num[-1] > 0 else [-c for c in num[m:]]
+    if min(h) <= 0:
+        return None
     # rows as (lower, upper) bound lists; a row is exact while they agree
     prev, row = (h[d::-2],) * 2, (h[d - 1 :: -2],) * 2
     for _ in range(d - 1):
@@ -275,13 +294,16 @@ class SturmChain:
             clear_denominators(self.squarefree.derivative()),
         )
 
-    def variations_at(self, x: Scalar) -> int:
+    def signs_at(self, x: Scalar) -> list[int]:
+        """Signs of the chain elements at x, the squarefree part's first."""
         # at x = p/q with q > 0, an element of degree d has the sign of the
         # integer q^d * f(p/q)
         x = Fraction(x)
-        return _variations(
-            [_sign(int_horner(f, x.numerator, x.denominator)) for f in self._chain]
-        )
+        p, q = x.numerator, x.denominator
+        return [_sign(int_horner(f, p, q)) for f in self._chain]
+
+    def variations_at(self, x: Scalar) -> int:
+        return _variations(self.signs_at(x))
 
     def count(self, lo: Optional[Scalar], hi: Optional[Scalar]) -> int:
         """Distinct real roots in the half-open interval (lo, hi]."""
@@ -321,34 +343,43 @@ def isolate_extreme_roots(
     """Rational brackets of width <= tol around the smallest and largest
     real roots m, M of f: returns (m_lo, m_hi, M_lo, M_hi) with
     m_lo < m <= m_hi and M_lo < M <= M_hi.
+
+    Each search bisects (-B, B] for the Cauchy bound B and keeps the
+    variation counts V of its two ends, so a step evaluates the Sturm
+    chain once, at the midpoint; the sign of the chain's first element
+    there, the squarefree part, tells whether the midpoint is a root.  A
+    midpoint that is the target root collapses the bracket onto it.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     chain = SturmChain(f)
     bound = cauchy_bound(f)
-    if chain.count(-bound, bound) == 0:
+    v_bound = chain.variations_at(-bound), chain.variations_at(bound)
+    if v_bound[0] == v_bound[1]:
         raise ValueError("polynomial has no real roots")
-    s = chain.squarefree
 
-    def bisect(lo: Fraction, hi: Fraction, leftmost: bool) -> tuple[Fraction, Fraction]:
-        # invariant: the target root lies in (lo, hi]
+    def bisect(leftmost: bool) -> tuple[Fraction, Fraction]:
+        # invariant: the target root lies in (lo, hi], and V(lo), V(hi)
+        # are the variation counts there
+        lo, hi = -bound, bound
+        v_lo, v_hi = v_bound
         while hi - lo > tol:
             mid = (lo + hi) / 2
-            if s(mid) == 0:
-                # mid is a root; collapse if it is the target of this search
-                inner = chain.count(lo, mid) if leftmost else chain.count(mid, hi)
-                if (leftmost and inner == 1) or (not leftmost and inner == 0):
-                    return max(lo, mid - tol), mid
-            took = chain.count(lo, mid) >= 1 if leftmost else chain.count(mid, hi) >= 1
-            if leftmost:
-                lo, hi = (lo, mid) if took else (mid, hi)
+            signs = chain.signs_at(mid)
+            v_mid = _variations(signs)
+            # distinct roots in (lo, mid] for the leftmost, (mid, hi] else
+            inner = v_lo - v_mid if leftmost else v_mid - v_hi
+            if not signs[0] and inner == (1 if leftmost else 0):
+                return max(lo, mid - tol), mid  # mid is the target root
+            if (inner >= 1) == leftmost:
+                hi, v_hi = mid, v_mid
             else:
-                lo, hi = (mid, hi) if took else (lo, mid)
+                lo, v_lo = mid, v_mid
         return lo, hi
 
-    m_lo, m_hi = bisect(-bound, bound, leftmost=True)
-    M_lo, M_hi = bisect(-bound, bound, leftmost=False)
+    m_lo, m_hi = bisect(leftmost=True)
+    M_lo, M_hi = bisect(leftmost=False)
     return m_lo, m_hi, M_lo, M_hi
 
 
@@ -360,9 +391,11 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     Verdict is true iff f has no zero with Re > 0: all zeros of the rotated
     polynomial must sit in the closed upper half-plane, i.e. the gcd of the
     rotated parts must be fully real-rooted and the quotient's open-upper
-    count must exhaust its degree.  A strictly stable f / x^m of degree
-    >= 32 with positive coefficients is certified by the interval Routh
-    test instead of the chain, with the same certificate (module docstring).
+    count must exhaust its degree.  A strictly stable h = f / x^m with
+    positive coefficients, of degree >= 32 or of degree 2-31 with a
+    primitive part at least 8 (deg h + 1) bits wide, is certified by the
+    interval Routh test instead of the chain, with the same certificate
+    (module docstring).
     """
     if f.is_zero:
         raise ValueError("zero polynomial")

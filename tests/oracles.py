@@ -5,6 +5,7 @@ or its benchmark calls them.
 """
 
 import random
+from fractions import Fraction
 
 from turanstab import polycore, stability
 from turanstab.harness import DEFAULT_SEED
@@ -41,6 +42,41 @@ def sign_variations_at_infinity(chain: list[Poly], direction: str) -> int:
             odd_at_minus = direction == "-inf" and p.degree() % 2 == 1
             signs.append((p.leading > 0) != odd_at_minus)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+# -- root isolation -----------------------------------------------------
+
+def isolate_extreme_roots(f: Poly, tol) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """``stability.isolate_extreme_roots`` the way it bisected before it
+    kept the variation counts of its bracket ends: each step counts the
+    roots on one side of the midpoint from two chain evaluations and asks
+    f itself whether the midpoint is a root."""
+    tol = Fraction(tol)
+    chain = stability.SturmChain(f)
+    bound = stability.cauchy_bound(f)
+    if chain.count(-bound, bound) == 0:
+        raise ValueError("polynomial has no real roots")
+    s = chain.squarefree
+
+    def bisect(lo: Fraction, hi: Fraction, leftmost: bool) -> tuple[Fraction, Fraction]:
+        # invariant: the target root lies in (lo, hi]
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if s(mid) == 0:
+                # mid is a root; collapse if it is the target of this search
+                inner = chain.count(lo, mid) if leftmost else chain.count(mid, hi)
+                if (leftmost and inner == 1) or (not leftmost and inner == 0):
+                    return max(lo, mid - tol), mid
+            took = chain.count(lo, mid) >= 1 if leftmost else chain.count(mid, hi) >= 1
+            if leftmost:
+                lo, hi = (lo, mid) if took else (mid, hi)
+            else:
+                lo, hi = (mid, hi) if took else (lo, mid)
+        return lo, hi
+
+    m_lo, m_hi = bisect(-bound, bound, leftmost=True)
+    M_lo, M_hi = bisect(-bound, bound, leftmost=False)
+    return m_lo, m_hi, M_lo, M_hi
 
 
 # -- the exact verdict against the numeric oracle ----------------------

@@ -1,11 +1,14 @@
 """End-to-end command line tests (in-process via main(argv))."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from turanstab import harness, sequences
 from turanstab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -149,6 +152,16 @@ class TestVerify:
         code, out = run(capsys, "--seed", "123", "verify", "--suite", "wronskian")
         assert code == 0
         assert "wronskian: PASS" in out
+
+    def test_all_matches_golden(self, capsys):
+        # the golden file holds each command line after "$ " and its stdout
+        text = ""
+        for argv in (["verify", "--suite", "all"],
+                     ["--seed", "1", "verify", "--suite", "all"]):
+            code, out = run(capsys, *argv)
+            assert code == 0
+            text += f"$ turanstab {' '.join(argv)}\n{out}"
+        assert text == (GOLDEN / "verify-all.txt").read_text(encoding="utf-8")
 
 
 class TestBadInput:

@@ -1,5 +1,6 @@
 """Rotation, Sturm chains, root isolation and the stability verdict."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -32,6 +33,7 @@ from turanstab.stability import (
     upper_halfplane_count,
 )
 
+import oracles
 from oracles import euclid_chain, is_squarefree, sign_variations_at_infinity
 
 
@@ -188,6 +190,32 @@ class TestIsolateExtremeRoots:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             isolate_extreme_roots(P(-1, 1), 0)
+
+
+_BRACKET_TOLS = [F(1, 1 << 20), F(1, 3), F(1, 1 << 40)]
+_BRACKET_SETS = {
+    **{
+        family: sequences.generate(sequences.spec(family), 14)[1:]
+        for family in ("hermite", "legendre", "chebyshev_t", "laguerre")
+    },
+    # multiple roots, and midpoints of the bisection that land on a root:
+    # the target of both searches (x^2 - 1 at -1 and 1, x^2 at 0) or of
+    # neither (x^3 (x - 1)^3 (x + 2) at 0)
+    "special": [
+        P(0, 0, 1),
+        P(-1, 0, 1),
+        P(-1, 0, 1) ** 2,
+        P(0, 0, 0, 1) * P(-1, 1) ** 3 * P(2, 1),
+        P(F(-1, 2), 1) * P(F(1, 4), 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("tol", _BRACKET_TOLS, ids=["2^-20", "1/3", "2^-40"])
+@pytest.mark.parametrize("name", list(_BRACKET_SETS))
+def test_isolate_extreme_roots_matches_two_evaluation_reference(name, tol):
+    for f in _BRACKET_SETS[name]:
+        assert isolate_extreme_roots(f, tol) == oracles.isolate_extreme_roots(f, tol), f
 
 
 class TestVerdicts:
@@ -687,11 +715,91 @@ def test_routh_refuses_a_hair_unstable_pair(b):
     assert not is_weakly_hurwitz(f).verdict
 
 
+def _wide(f):
+    """f = x^m h with deg h in 2..31 and h's primitive part at least
+    8 (deg h + 1) bits wide: the inputs the width gate lets in."""
+    num = polycore.clear_denominators(f)
+    h = num[next(i for i, c in enumerate(num) if c):]
+    top = max(abs(c) for c in h) // math.gcd(*h)
+    return 2 <= len(h) - 1 < 32 and top.bit_length() >= 8 * len(h)
+
+
+def _hermite_windows():
+    """The thm12 type-H inputs: each Hermite Turan expression moved to the
+    brackets of the extreme zeros of P_{k+1}, on both sides."""
+    seq = sequences.hermite(14)
+    for k in range(13):
+        expr = expressions.turan(seq, k)
+        m_lo, _, _, M_hi = isolate_extreme_roots(seq[k + 1], harness.EXTREME_ROOT_TOL)
+        yield (k, RIGHT_OF), expr.compose_linear(1, M_hi)
+        yield (k, LEFT_OF), expr.compose_linear(-1, m_lo)
+
+
+def test_routh_certifies_every_hermite_window():
+    certified = 0
+    for case, f in _hermite_windows():
+        if f.degree() == 0:  # k = 0: a positive constant, no chain at all
+            assert case[0] == 0 and is_weakly_hurwitz(f).verdict
+            continue
+        assert _wide(f), case
+        fast, exact = _both_paths(f)
+        assert fast == exact, case
+        certified += 1
+    assert certified == 24
+
+
+@st.composite
+def _small_stable_shifted(draw):
+    """A strictly stable c x^m prod(linear) prod(quadratic) of degree
+    2..31, moved left by an odd multiple of 2^-20."""
+    degree = draw(st.integers(min_value=2, max_value=31))
+    pairs = draw(st.lists(st.tuples(_positive, _positive), max_size=degree // 2))
+    roots = draw(st.lists(_positive, min_size=degree - 2 * len(pairs),
+                          max_size=degree - 2 * len(pairs)))
+    f = _product("linear", [-a for a in roots], 1)
+    for a, b in pairs:
+        f = f * _factor("pair", -a, b)
+    s = F(2 * draw(st.integers(min_value=0, max_value=1 << 20)) + 1, 1 << 20)
+    m = draw(st.integers(min_value=0, max_value=3))
+    return f.compose_linear(1, s) * P(*[0] * m, draw(_nonzero))
+
+
+@settings(max_examples=25, deadline=None)
+@given(f=_small_stable_shifted())
+def test_routh_matches_exact_chain_on_small_wide_products(f):
+    assert _wide(f)  # the odd shift leaves the primitive part wide
+    fast, exact = _both_paths(f)
+    assert fast == exact
+
+
+# zeros -1 - j/2^20 for j = 1..6: coefficients of about 120 bits at degree 6
+_WIDE = _product("linear", [-1 - F(j, 1 << 20) for j in range(1, 7)], 1)
+
+
+@pytest.mark.parametrize("b", [1, 3, F(1, 2)])
+def test_routh_refuses_a_wide_axis_pair(b):
+    f = _WIDE * _factor("axis", 0, b)
+    assert _wide(f) and min(polycore.clear_denominators(f)) > 0  # it runs
+    fast, exact = _both_paths(f)
+    assert fast is None
+    assert is_weakly_hurwitz(f).gcd_degree == 2
+
+
+@pytest.mark.parametrize("b", [1, 3, F(1, 2)])
+def test_routh_refuses_a_wide_hair_unstable_pair(b):
+    f = _WIDE * _factor("pair", F(1, 2**40), b)  # just right of the axis
+    assert _wide(f) and min(polycore.clear_denominators(f)) > 0  # it runs
+    fast, exact = _both_paths(f)
+    assert fast is None
+    assert not is_weakly_hurwitz(f).verdict
+
+
 @pytest.mark.parametrize("f", [
-    _BASE.exact_div(P(1, 1)),  # degree 31, below the gate
+    _BASE.exact_div(P(1, 1)),  # degree 31, below the gate and narrow
+    _product("linear", range(-5, 0), 1) * 2**400,  # narrow once primitive
     Poly([*_BASE.num[:5], 0, *_BASE.num[6:]]),  # a zero coefficient
     Poly([*_BASE.num[:5], -1, *_BASE.num[6:]]),  # a negative coefficient
-], ids=["degree-31", "zero-coefficient", "negative-coefficient"])
+], ids=["degree-31", "wide-content", "zero-coefficient", "negative-coefficient"])
 def test_routh_does_not_try(f):
     assert stability._routh_data(polycore.clear_denominators(f)) is None
 
