@@ -6,20 +6,19 @@ sign-variation counting, then contrasts it with a stable sibling.
 Run as: python3 demos/02_stability_certificates.py
 """
 
-from turanstab import Poly, fisk_expression, is_weakly_hurwitz, rotate
-from turanstab.stability import coeff_sign_precheck, upper_halfplane_count
+from turanstab import Poly, fisk_expression, gcd, is_weakly_hurwitz, rotate
+from turanstab.stability import coeff_sign_precheck
 
 
 def inspect(label: str, f: Poly) -> None:
     print(f"-- {label}: f = {f.pretty()}")
     print(f"   coefficient precheck: {coeff_sign_precheck(f)}")
-    h = rotate(f)
-    print(f"   rotated g = (-i)^n f(ix):  re = {h.re.pretty()}")
-    print(f"                              im = {h.im.pretty()}")
-    p, g = upper_halfplane_count(h)
-    print(f"   gcd(re, im) = {g.pretty()}  (carries the axis zeros of f)")
-    print(f"   open-upper-half-plane count of the quotient: {p}")
+    re, im = rotate(f)
+    print(f"   rotated g = (-i)^n f(ix):  re = {re.pretty()}")
+    print(f"                              im = {im.pretty()}")
+    print(f"   gcd(re, im) = {gcd(re, im).pretty()}  (carries the axis zeros of f)")
     cert = is_weakly_hurwitz(f)
+    print(f"   open-upper-half-plane count of the quotient: {cert.p_upper}")
     print(f"   verdict: {'weakly Hurwitz stable' if cert.verdict else 'UNSTABLE'}")
     print(f"   certificate: {cert.summary()}\n")
 

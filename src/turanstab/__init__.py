@@ -4,7 +4,6 @@ stability certificates, all in rational arithmetic."""
 from .polycore import Poly, gcd, squarefree_part
 from .sequences import SequenceSpec, generate, spec, verify_relation
 from .stability import (
-    SplitPoly,
     StabilityCertificate,
     cross_check_oracle,
     interlace_check,
@@ -33,7 +32,6 @@ __all__ = [
     "spec",
     "generate",
     "verify_relation",
-    "SplitPoly",
     "StabilityCertificate",
     "rotate",
     "is_weakly_hurwitz",

@@ -95,15 +95,15 @@ def cmd_stability(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    k_lim, n_lim = TIER_LIMITS[args.tier]
-    for flag, value, lo, hi in (("--k-max", args.k_max, 0, k_lim),
-                                ("--n-max", args.n_max, 1, n_lim)):
-        if not lo <= value <= hi:
-            raise ValueError(
-                f"{flag} must be in {lo}..{hi} at --tier {args.tier}; got {value}"
-            )
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1; got {args.jobs}")
+    cfg = CampaignConfig(
+        family=_parse_spec(args),
+        k_max=args.k_max,
+        n_max=args.n_max,
+        reflect=args.reflect,
+        shift=_rational("--shift", args.shift or "0"),
+        jobs=args.jobs,
+        tier=args.tier,
+    )
     out = os.path.abspath(args.out)
     out_dir = os.path.dirname(out)
     if not os.path.isdir(out_dir):
@@ -112,16 +112,6 @@ def cmd_campaign(args) -> int:
         raise OSError(f"cannot write report to {args.out}: it is a directory")
     if not os.access(out_dir, os.W_OK):  # for the report's .partial file
         raise OSError(f"cannot write report to {args.out}: not writable")
-    spec = _parse_spec(args)
-    cfg = CampaignConfig(
-        family=spec,
-        k_max=args.k_max,
-        n_max=args.n_max,
-        reflect=args.reflect,
-        shift=_rational("--shift", args.shift or "0"),
-        jobs=args.jobs,
-        tier=args.tier,
-    )
     records = harness.run_campaign(cfg)
     harness.emit_reports(records, args.out, with_timing=args.timing)
     flagged = [r for r in records if r.flagged]

@@ -54,16 +54,19 @@ class CampaignConfig:
     jobs: int = 1
     tier: str = "desk"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # the messages name the campaign command's flags, which set the fields
         if self.tier not in TIER_LIMITS:
             raise ValueError(f"unknown tier {self.tier!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         k_lim, n_lim = TIER_LIMITS[self.tier]
-        if not (0 <= self.k_max <= k_lim):
-            raise ValueError(f"k_max out of range for tier {self.tier}")
-        if not (1 <= self.n_max <= n_lim):
-            raise ValueError(f"n_max out of range for tier {self.tier}")
+        for flag, value, lo, hi in (("--k-max", self.k_max, 0, k_lim),
+                                    ("--n-max", self.n_max, 1, n_lim)):
+            if not lo <= value <= hi:
+                raise ValueError(
+                    f"{flag} must be in {lo}..{hi} at --tier {self.tier}; got {value}"
+                )
+        if self.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1; got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,6 @@ def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
     cost a round trip each, and a long cell sent last would leave the
     other workers idle.
     """
-    cfg.validate()
     seq = sequences.generate(cfg.family, 2 * cfg.n_max + cfg.k_max)
     args = []
     for k in range(cfg.k_max + 1):
@@ -286,9 +288,10 @@ def verify_legendre_turan(k_max: int) -> bool:
     return True
 
 
-def random_rational(rng: random.Random, lo: int = -1, hi: int = 1) -> Fraction:
+def random_rational(rng: random.Random) -> Fraction:
+    """A rational in [-1, 1] with denominator at most 50."""
     denom = rng.randint(1, 50)
-    return Fraction(rng.randint(lo * denom, hi * denom), denom)
+    return Fraction(rng.randint(-denom, denom), denom)
 
 
 def verify_wronskian_strip(samples: int, seed: int = DEFAULT_SEED) -> bool:
@@ -334,15 +337,14 @@ def verify_jensen_laguerre_relations(k_max: int, seed: int = DEFAULT_SEED) -> bo
     return True
 
 
-def question_probe_jensen(k_max: int, source_degree: int = 16) -> list[tuple[int, bool]]:
+def question_probe_jensen(k_max: int) -> list[tuple[int, bool]]:
     """Open-question probe: Turan stability verdicts for the Jensen
-    sequence of (1+x)^m, a real-rooted source with non-positive zeros.
-    Recorded, not asserted; the underlying question is open."""
+    sequence of (1+x)^m, m = 16, a real-rooted source with non-positive
+    zeros.  Recorded, not asserted; the underlying question is open."""
     # Taylor coefficients gamma_k = k! * C(m, k) of (1+x)^m
+    m = 16
     gamma = [
-        Fraction(factorial(source_degree), factorial(source_degree - k))
-        if k <= source_degree
-        else Fraction(0)
+        Fraction(factorial(m), factorial(m - k)) if k <= m else Fraction(0)
         for k in range(k_max + 3)
     ]
     seq = sequences.jensen(gamma, k_max + 2)

@@ -184,32 +184,30 @@ class Poly:
 
     # -- division -----------------------------------------------------
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if not isinstance(other, Poly):
-            return NotImplemented
+    def exact_div(self, other: "Poly") -> "Poly":
+        """self / other, which must be a polynomial; ValueError if it is not.
+
+        Divides the numerators by the primitive part of other's.  By Gauss's
+        lemma that quotient has integer coefficients whenever the division
+        is exact, so a step whose leading coefficient does not divide is
+        already inexact.
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem, div = list(self.num), other.num
-        steps = len(rem) - len(div) + 1
-        if steps <= 0:
-            return Poly(), self
-        # pseudo-division lead^steps * self.num = q * div + rem, where
-        # other = div / other.den; quot holds q * other.den
-        lead, quot = div[-1], [0] * steps
-        for i in range(steps - 1, -1, -1):
-            c = rem[i + len(div) - 1]
-            rem = [lead * r for r in rem]
-            quot[i] = c * lead**i * other.den  # lead^i: the i steps to come
+        content = math.gcd(*other.num)
+        div = [c // content for c in other.num]
+        rem, lead = list(self.num), div[-1]
+        quot = [0] * max(len(rem) - len(div) + 1, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c, r = divmod(rem[i + len(div) - 1], lead)
+            if r:
+                raise ValueError("inexact polynomial division")
+            quot[i] = c
             for j, e in enumerate(div):
                 rem[i + j] -= c * e
-        den = self.den * lead**steps
-        return Poly._of(quot, den), Poly._of(rem[: len(div) - 1], den)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        if any(rem):
             raise ValueError("inexact polynomial division")
-        return q
+        return Poly._of([c * other.den for c in quot], self.den * content)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -221,7 +219,7 @@ class Poly:
     def to_text(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if self.is_zero:
             return "0"
         terms = []
@@ -234,7 +232,7 @@ class Poly:
                 body = str(abs(c))
             else:
                 mag = abs(c)
-                xs = var if i == 1 else f"{var}^{i}"
+                xs = "x" if i == 1 else f"x^{i}"
                 body = xs if mag == 1 else f"{mag}*{xs}"
             if not terms:
                 terms.append(body if c > 0 else f"-{body}")

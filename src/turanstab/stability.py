@@ -91,14 +91,6 @@ class ChainInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SplitPoly:
-    """Exact real and imaginary parts of a complex polynomial re + i*im."""
-
-    re: Poly
-    im: Poly
-
-
-@dataclass(frozen=True)
 class StabilityCertificate:
     """Verdict plus the evidence behind it."""
 
@@ -134,18 +126,20 @@ def _rotated_parts(coeffs: IntPoly) -> tuple[IntPoly, IntPoly]:
     return re, im
 
 
-def rotate(f: Poly) -> SplitPoly:
-    """g(x) = (-i)^n f(ix) as exact real/imaginary parts.
+def rotate(f: Poly) -> tuple[Poly, Poly]:
+    """g(x) = (-i)^n f(ix) as the pair (re, im) of its exact real and
+    imaginary parts, g = re + i*im.
 
-    The leading coefficient of g is real and equals that of f; zeros of f
-    with Re > 0 map exactly to zeros of g with Im < 0.
+    The leading coefficient of g is real and equals that of f, so
+    deg(im) < deg(re); zeros of f with Re > 0 map exactly to zeros of g
+    with Im < 0.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
     num = clear_denominators(f)
     re, im = _rotated_parts(num)
     unit = f.leading / num[-1]  # 1/d for the d that cleared the denominators
-    return SplitPoly(Poly(re).scale(unit), Poly(im).scale(unit))
+    return Poly(re).scale(unit), Poly(im).scale(unit)
 
 
 # -- generalized Sturm chains -----------------------------------------
@@ -263,21 +257,6 @@ def _routh_data(num: IntPoly):
             return None
         prev, row = row, (lo, hi)
     return d, [0] * m + [1], d + 1, d, 0
-
-
-def upper_halfplane_count(h: SplitPoly) -> tuple[int, Poly]:
-    """Zeros of h in the open upper half-plane, plus gcd(re, im).
-
-    Requires the leading coefficient of h to be real (deg(im) < deg(re)),
-    which ``rotate`` guarantees.  The overall real scale of h is irrelevant
-    to the variation counts, so no monic normalization is needed.
-    """
-    if h.re.is_zero or (not h.im.is_zero and h.im.degree() >= h.re.degree()):
-        raise ValueError("leading coefficient must be real")
-    p, g, _, _, _ = _halfplane_data(
-        clear_denominators(h.re), clear_denominators(h.im)
-    )
-    return p, Poly(g).monic()
 
 
 # -- real-root machinery ----------------------------------------------
@@ -463,9 +442,10 @@ def interlace_check(
     applies to f/(x-r) and g/(x-r).  By the Hermite-Biehler theorem, f and g
     have simple, strictly interlacing zeros (f, g, f, ..., f on the real
     line) iff f + i*g has every zero in one open half-plane.  The half-plane
-    counter decides that: gcd(f, g) must be constant, since a common zero
-    is a real zero of f + i*g, and the open-upper count must be 0 or
-    deg(f).  Multiple roots or common roots fail the strict check.
+    counter ``_halfplane_data`` decides that on the numerators of f and g,
+    which are positive multiples of them: gcd(f, g) must be constant, since
+    a common zero is a real zero of f + i*g, and the open-upper count must
+    be 0 or deg(f).  Multiple roots or common roots fail the strict check.
     """
     if shared_root is not None:
         r = Fraction(shared_root)
@@ -480,8 +460,8 @@ def interlace_check(
         raise ValueError("need deg(f) = deg(g) + 1")
     if not all_roots_real(f) or not all_roots_real(g):
         raise ValueError("inputs must be real-rooted")
-    p, common = upper_halfplane_count(SplitPoly(f, g))
-    return common.degree() == 0 and p in (0, f.degree())
+    p, common, _, _, _ = _halfplane_data(f.num, g.num)
+    return len(common) == 1 and p in (0, f.degree())
 
 
 def cross_check_oracle(f: Poly) -> str:

@@ -142,9 +142,9 @@ def test_criterion_9_internal_consistency():
         cert = stability.is_weakly_hurwitz(f)  # raises on invariant violation
         ok = ok and isinstance(cert.p_upper, int)
         ok = ok and 0 <= cert.p_upper <= f.degree()
-        h = stability.rotate(f)
-        stripped = [Poly(c) for c in stability._int_chain(h.re.num, h.im.num)]
-        raw = euclid_chain(h.re, h.im, strip_content=False)
+        re, im = stability.rotate(f)
+        stripped = [Poly(c) for c in stability._int_chain(re.num, im.num)]
+        raw = euclid_chain(re, im, strip_content=False)
         for d in ("+inf", "-inf"):
             ok = ok and (
                 sign_variations_at_infinity(stripped, d)

@@ -151,12 +151,12 @@ class TestCampaign:
 
     def test_tier_limits(self):
         with pytest.raises(ValueError):
-            bell_cfg(k_max=30, tier="desk").validate()
-        bell_cfg(k_max=30, tier="full").validate()
+            bell_cfg(k_max=30, tier="desk")
+        bell_cfg(k_max=30, tier="full")
         with pytest.raises(ValueError):
-            bell_cfg(n_max=0).validate()
+            bell_cfg(n_max=0)
         with pytest.raises(ValueError):
-            bell_cfg(jobs=0).validate()
+            bell_cfg(jobs=0)
 
 
 class TestReports:

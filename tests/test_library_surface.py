@@ -4,7 +4,10 @@ Every public module-level function or class of ``src/turanstab``, and
 every public method of its classes, must be referenced by the package
 itself, the demos or the benchmark.  Re-exports in ``__init__.py`` and a
 function's references to itself do not count.  Reference implementations
-that only tests call belong in ``tests/oracles.py``.
+that only tests call belong in ``tests/oracles.py``.  Likewise every
+defaulted parameter of a public function or method must be set by some
+call there or in the acceptance gate; one that only tests set is a
+constant.
 """
 
 import ast
@@ -71,3 +74,67 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert "polycore.Poly.compose_linear" in definitions  # the scan sees methods
     unused = [full for full, name in definitions.items() if name not in refs.found]
     assert unused == [], f"public names only tests call: {unused}"
+
+
+# callers whose arguments count as a use of a defaulted parameter: the
+# acceptance gate sets interlace_check(..., shared_root=0) (criterion 8)
+SETTERS = CALLERS + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def _defaulted(qualname, fn, skip):
+    """(qualname.parameter, function name, position) of each defaulted
+    parameter of fn; position is None for a keyword-only parameter, and
+    ``skip`` drops self or cls from the positions (the package has no
+    static methods)."""
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    for i in range(first, len(args)):
+        yield f"{qualname}.{args[i].arg}", fn.name, i - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield f"{qualname}.{arg.arg}", fn.name, None
+
+
+def _defaulted_parameters():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if _public(node, ast.FunctionDef):
+                yield from _defaulted(f"{path.stem}.{node.name}", node, 0)
+            elif _public(node, ast.ClassDef):
+                for item in node.body:
+                    if _public(item, ast.FunctionDef):
+                        qualname = f"{path.stem}.{node.name}.{item.name}"
+                        yield from _defaulted(qualname, item, 1)
+
+
+def _arguments_set():
+    """For each called name, the most positional arguments any call passes
+    and the keywords any call passes; a starred argument sets them all."""
+    positional, keywords = {}, {}
+    for path in SETTERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                count = float("inf")
+            else:
+                count = len(node.args)
+            positional[name] = max(positional.get(name, 0), count)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return positional, keywords
+
+
+def test_every_defaulted_parameter_is_set_outside_tests():
+    """A default that no caller overrides is a constant in disguise."""
+    positional, keywords = _arguments_set()
+    params = list(_defaulted_parameters())
+    assert "stability.interlace_check.shared_root" in [q for q, _, _ in params]
+    unset = []
+    for qualname, name, position in params:
+        parameter = qualname.rsplit(".", 1)[1]
+        passed = keywords.get(name, set())
+        by_position = position is not None and positional.get(name, 0) > position
+        if parameter not in passed and None not in passed and not by_position:
+            unset.append(qualname)
+    assert unset == [], f"defaulted parameters only tests set: {unset}"

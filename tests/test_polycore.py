@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turanstab import cli
@@ -137,16 +137,18 @@ class TestDivision:
         assert q == P(2, 3)
 
     def test_inexact_rejected(self):
-        with pytest.raises(ValueError):
-            P(1, 1, 1).exact_div(P(0, 1))
-
-    def test_divmod(self):
-        q, r = divmod(P(1, 0, 1), P(1, 1))
-        assert P(1, 1) * q + r == P(1, 0, 1)
+        for p, q in (
+            (P(1, 1, 1), P(0, 1)),
+            (P(1, 0, 1), P(1, 2)),  # the leading coefficient does not divide
+            (P(1, 0, 1), P(1, 1)),  # every step divides, the remainder 2 stays
+            (P(1), P(1, 1)),  # the divisor has the higher degree
+        ):
+            with pytest.raises(ValueError):
+                p.exact_div(q)
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
-            divmod(P(1), Poly())
+            P(1).exact_div(Poly())
 
 
 class TestIntegerKernel:
@@ -202,7 +204,8 @@ def _assert_normalised(p):
 @given(p=polys, q=nonzero_polys, c=rationals)
 def test_representation_invariants(p, q, c):
     for r in (p, -p, p + q, p - p, p * q, p.scale(c), p.scale(-3), p.derivative(),
-              p.shift_x(2), *divmod(p, q), p.compose_linear(c or 1, c), q.monic()):
+              p.shift_x(2), (p * q).exact_div(q), p.compose_linear(c or 1, c),
+              q.monic()):
         _assert_normalised(r)
     # so equal polynomials have equal fields and hashes
     pairs = ((p * q, q * p), ((p + q) - q, p), (p.scale(c).scale(2), p.scale(2 * c)))
@@ -212,6 +215,17 @@ def test_representation_invariants(p, q, c):
 
 
 nonzero_rationals = rationals.filter(lambda c: c != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=polys, q=nonzero_polys, c=nonzero_rationals)
+# a divisor with content 2 and a negative leading coefficient
+@example(p=P(F(1, 3), -2, 5), q=P(6, 0, -4), c=1)
+# rational denominators, content and a negative leading coefficient
+@example(p=P(-1, 0, F(1, 2)), q=P(F(3, 4), F(-9, 2)), c=F(-10, 3))
+def test_exact_div_undoes_a_product(p, q, c):
+    q = q.scale(c)
+    assert (p * q).exact_div(q) == p
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,5 +244,5 @@ def test_squarefree_part_properties(p):
     if p.is_zero:
         return
     s = squarefree_part(p)
-    assert divmod(p, s)[1].is_zero
+    assert p.exact_div(s) * s == p
     assert is_squarefree(s)

@@ -19,7 +19,6 @@ from turanstab.stability import (
     RIGHT_OF,
     STABLE,
     UNSTABLE,
-    SplitPoly,
     SturmChain,
     all_roots_real,
     cauchy_bound,
@@ -30,7 +29,6 @@ from turanstab.stability import (
     isolate_extreme_roots,
     nonvanishing_halfplane,
     rotate,
-    upper_halfplane_count,
 )
 
 import oracles
@@ -44,54 +42,45 @@ def P(*coeffs):
 class TestRotate:
     def test_linear(self):
         # (-i)(ix - 1) = x + i
-        h = rotate(P(-1, 1))
-        assert h.re == P(0, 1)
-        assert h.im == P(1)
+        assert rotate(P(-1, 1)) == (P(0, 1), P(1))
 
     def test_quartic(self):
         # rotation of the unstable Fisk quartic x^4 - 2x^2 - 8x
-        h = rotate(P(0, -8, -2, 0, 1))
-        assert h.re == P(0, 0, 2, 0, 1)
-        assert h.im == P(0, -8)
+        assert rotate(P(0, -8, -2, 0, 1)) == (P(0, 0, 2, 0, 1), P(0, -8))
 
     def test_leading_coefficient_stays_real(self):
         for p in (P(1, 2, 3), P(0, -8, -2, 0, 1), P(5, 0, 0, 1)):
-            h = rotate(p)
-            assert h.re.degree() == p.degree()
-            assert h.re.leading == p.leading
-            assert h.im.is_zero or h.im.degree() < p.degree()
+            re, im = rotate(p)
+            assert re.degree() == p.degree()
+            assert re.leading == p.leading
+            assert im.is_zero or im.degree() < p.degree()
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             rotate(Poly())
 
 
+def _upper_halfplane_count(re, im):
+    """p and the monic gcd of re + i*im, from the integer half-plane counter."""
+    p, g, _, _, _ = stability._halfplane_data(re.num, im.num)
+    return p, Poly(g).monic()
+
+
 class TestUpperHalfplaneCount:
     def test_x_minus_i(self):
         # x - i has its single zero at i, in the open upper half-plane
-        p, g = upper_halfplane_count(SplitPoly(P(0, 1), P(-1)))
-        assert p == 1
-        assert g.degree() == 0
+        assert _upper_halfplane_count(P(0, 1), P(-1)) == (1, P(1))
 
     def test_x_plus_i(self):
-        p, _ = upper_halfplane_count(SplitPoly(P(0, 1), P(1)))
-        assert p == 0
+        assert _upper_halfplane_count(P(0, 1), P(1)) == (0, P(1))
 
     def test_cubic_example(self):
         # x^3 + 2x - 8i: two zeros above the real axis, one below
-        p, g = upper_halfplane_count(SplitPoly(P(0, 2, 0, 1), P(-8)))
-        assert p == 2
-        assert g.degree() == 0
+        assert _upper_halfplane_count(P(0, 2, 0, 1), P(-8)) == (2, P(1))
 
     def test_real_polynomial(self):
         # real input: no zeros strictly above the axis, gcd carries them all
-        p, g = upper_halfplane_count(SplitPoly(P(-1, 0, 1), Poly()))
-        assert p == 0
-        assert g == P(-1, 0, 1)
-
-    def test_complex_leading_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            upper_halfplane_count(SplitPoly(P(0, 1), P(0, 0, 1)))
+        assert _upper_halfplane_count(P(-1, 0, 1), Poly()) == (0, P(-1, 0, 1))
 
 
 class TestEuclidChain:
@@ -444,14 +433,14 @@ def _factored(draw):
     return f, stable
 
 
-def _two_chain_reference(h):
+def _two_chain_reference(re, im):
     """Counts the way they were computed before the single chain: gcd
     first, then a second chain on the exact quotients."""
-    g = polycore.gcd(h.re, h.im)
-    chain = euclid_chain(h.re.exact_div(g), h.im.exact_div(g))
+    g = polycore.gcd(re, im)
+    chain = euclid_chain(re.exact_div(g), im.exact_div(g))
     v_plus = sign_variations_at_infinity(chain, "+inf")
     v_minus = sign_variations_at_infinity(chain, "-inf")
-    p = (h.re.degree() - g.degree() + v_plus - v_minus) // 2
+    p = (re.degree() - g.degree() + v_plus - v_minus) // 2
     return p, g, v_plus, v_minus, len(chain)
 
 
@@ -509,9 +498,9 @@ def test_single_chain_matches_two_chain_reference_on_large_products(case):
 
 
 def _assert_matches_two_chain_reference(f, stable):
-    h = rotate(f)
-    p, g, v_plus, v_minus, length = _two_chain_reference(h)
-    assert upper_halfplane_count(h) == (p, g)
+    re, im = rotate(f)
+    p, g, v_plus, v_minus, length = _two_chain_reference(re, im)
+    assert _upper_halfplane_count(re, im) == (p, g)
     cert = is_weakly_hurwitz(f)
     assert (cert.p_upper, cert.gcd_degree, cert.v_plus, cert.v_minus,
             cert.chain_length) == (p, g.degree(), v_plus, v_minus, length)
