@@ -78,15 +78,13 @@ def wronskian(f: Poly) -> Poly:
 
 
 def fisk_expression(f: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:
-    """a*f^2 + b*f*f' + c*x*(f*f'' - f'^2), expanded exactly."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    d1 = f.derivative()
-    d2 = d1.derivative()
+    """a*f^2 + b*f*f' + c*x*(f*f'' - f'^2), expanded exactly: the last
+    term is -c*x*wronskian(f)."""
+    w = wronskian(f)  # rejects the zero polynomial
     return (
         (f * f).scale(a)
-        + (f * d1).scale(b)
-        + (f * d2 - d1 * d1).shift_x(1).scale(c)
+        + (f * f.derivative()).scale(b)
+        - w.shift_x(1).scale(c)
     )
 
 

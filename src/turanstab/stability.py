@@ -15,8 +15,8 @@ Each chain element is the gcd times the matching element of the chain of
 the quotients re/gcd, im/gcd, up to positive scale.  At either end every
 sign is thus multiplied by the same sign of the monic gcd, so V(+-inf)
 and the chain length equal those of the quotient chain.  The same
-counter decides strict interlacing (``interlace_check``), by the
-Hermite-Biehler theorem.
+counter alone, with no real-rootedness pre-check, decides strict
+interlacing (``interlace_check``), by the Hermite-Biehler theorem.
 
 Fast path.  Write f = x^m h with h(0) != 0 and the leading coefficient of
 h positive.  By the Routh-Hurwitz theorem (Gantmacher, The Theory of
@@ -435,33 +435,28 @@ def nonvanishing_halfplane(f: Poly, tau: Scalar, side: str) -> bool:
 def interlace_check(
     f: Poly, g: Poly, shared_root: Optional[Scalar] = None
 ) -> bool:
-    """Exact strict-interlacing check for real-rooted f, g with
-    deg(f) = deg(g) + 1.
+    """Exact strict-interlacing check for f, g with deg(f) = deg(g) + 1.
 
-    With ``shared_root=r`` both polynomials must vanish at r; the check then
-    applies to f/(x-r) and g/(x-r).  By the Hermite-Biehler theorem, f and g
-    have simple, strictly interlacing zeros (f, g, f, ..., f on the real
-    line) iff f + i*g has every zero in one open half-plane.  The half-plane
-    counter ``_halfplane_data`` decides that on the numerators of f and g,
-    which are positive multiples of them: gcd(f, g) must be constant, since
-    a common zero is a real zero of f + i*g, and the open-upper count must
-    be 0 or deg(f).  Multiple roots or common roots fail the strict check.
+    By the Hermite-Biehler theorem, f and g have real, simple, strictly
+    interlacing zeros (f, g, f, ..., f on the real line) iff f + i*g has
+    every zero in one open half-plane.  ``_halfplane_data`` decides that
+    on the numerators of f and g, positive multiples of them: the gcd must
+    be constant (a common zero is a real zero of f + i*g) and the
+    open-upper count 0 or deg(f).  A non-real, multiple or common zero
+    thus gives False.  With ``shared_root=r`` the check applies to
+    f/(x-r) and g/(x-r): the gcd read off the chain must be x - r, and
+    the quotient counted is the same.
     """
-    if shared_root is not None:
-        r = Fraction(shared_root)
-        if f(r) != 0 or g(r) != 0:
-            return False
-        linear = Poly([-r, 1])
-        f = f.exact_div(linear)
-        g = g.exact_div(linear)
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
     if f.degree() != g.degree() + 1:
         raise ValueError("need deg(f) = deg(g) + 1")
-    if not all_roots_real(f) or not all_roots_real(g):
-        raise ValueError("inputs must be real-rooted")
     p, common, _, _, _ = _halfplane_data(f.num, g.num)
-    return len(common) == 1 and p in (0, f.degree())
+    common = int_primitive(common if common[-1] > 0 else [-c for c in common])
+    expected = [1]
+    if shared_root is not None:  # x - p/q has the numerators [-p, q]
+        expected = Poly([-Fraction(shared_root), 1]).num
+    return common == expected and p in (0, len(f.num) - len(common))
 
 
 def cross_check_oracle(f: Poly) -> str:

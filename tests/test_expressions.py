@@ -131,6 +131,10 @@ class TestFisk:
         f = P(0, 2, 1)
         assert fisk_expression(f, 1, 1, -3) == P(0, 16, 22, 12, 1)
 
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            fisk_expression(Poly(), 1, 1, 3)
+
 
 class TestDerivativeSequence:
     def test_degrees(self):

@@ -327,8 +327,15 @@ class TestInterlace:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             interlace_check(P(-1, 0, 1), P(1))
-        with pytest.raises(ValueError):
-            interlace_check(P(1, 0, 1), P(0, 1))  # not real-rooted
+
+    def test_not_real_rooted_fails(self):
+        # strictly interlacing zeros are real (Hermite-Biehler), so a
+        # non-real zero in f or in g is a plain False
+        assert not interlace_check(P(1, 0, 1), P(0, 1))
+        assert not interlace_check(P(0, 1) * P(-1, 1) * P(-2, 1), P(1, 0, 1))
+        assert not interlace_check(
+            P(0, 1) * P(1, 0, 1), P(0, 1) * P(0, 1), shared_root=0
+        )
 
     def test_multiple_root_fails(self):
         assert not interlace_check(P(0, 1) * P(0, 1) * P(1, 1), P(0, 1) * P(2, 1))
@@ -567,10 +574,11 @@ def _isolation_reference(f, g):
 
 
 @st.composite
-def _real_rooted_pair(draw):
-    """(f, g, forced): real-rooted f of degree n and g of degree n - 1 with
-    any-sign leading coefficients; interlacing by construction when forced,
-    otherwise with free roots that may repeat or be shared."""
+def _rooted_pair(draw):
+    """(f, g, forced, f_roots, g_roots): real-rooted f of degree n and g of
+    degree n - 1 with any-sign leading coefficients; interlacing by
+    construction when forced, otherwise with free roots that may repeat or
+    be shared."""
     n = draw(st.integers(min_value=1, max_value=6))
     forced = draw(st.booleans())
     if forced:
@@ -585,7 +593,12 @@ def _real_rooted_pair(draw):
             g_roots[0] = draw(st.sampled_from(f_roots))
     f = _product("linear", f_roots, 0) * draw(_nonzero)
     g = _product("linear", g_roots, 0) * draw(_nonzero)
-    return f, g, forced
+    return f, g, forced, f_roots, g_roots
+
+
+def _real_rooted_pair():
+    """(f, g, forced) of ``_rooted_pair``."""
+    return _rooted_pair().map(lambda case: case[:3])
 
 
 @settings(max_examples=100, deadline=None)
@@ -602,6 +615,18 @@ def test_interlace_matches_isolation_reference(case):
     assert got == _isolation_reference(f, g)
     if forced:
         assert got
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_rooted_pair(), data=st.data())
+def test_shared_root_leaves_the_answer_unchanged(case, data):
+    # gcd(f (x - r), g (x - r)) = (x - r) gcd(f, g), so the quotient that is
+    # counted is the same; r is free or a root of f or of g
+    f, g, _, f_roots, g_roots = case
+    r = data.draw(st.one_of(_rationals, st.sampled_from(f_roots + g_roots)))
+    linear = Poly([-r, 1])
+    got = interlace_check(f * linear, g * linear, shared_root=r)
+    assert got == interlace_check(f, g)
 
 
 # -- the interval Routh fast path against the exact chain --------------
