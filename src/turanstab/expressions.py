@@ -6,9 +6,10 @@ alternating binomial convolution
 
     sum_{j=0}^{2n} (-1)^(n+j) / (2n)!  C(2n, j)  P_{j+k}  P_{2n+k-j},
 
-which collapses to the plain Turan expression at n = 1.  The single-
-function analogue over derivatives is the extended Laguerre expression;
-its n = 1 case is the classical f'^2 - f f''.
+which collapses to the plain Turan expression at n = 1.  The extended
+Laguerre expression of one polynomial f is the extended Turan expression
+of its derivatives (f, f', ..., f^(2n)) at k = 0; its n = 1 case is the
+classical f'^2 - f f''.
 
 ``build_expression`` is the one path from a sequence to the object a
 campaign cell or the ``turan`` command decides: the extended Turan
@@ -51,7 +52,8 @@ def extended_turan(seq: list[Poly], k: int, n: int) -> Poly:
 
 
 def extended_laguerre(f: Poly, n: int) -> Poly:
-    """Order-n extended Laguerre expression of a single polynomial.
+    """Order-n extended Laguerre expression of a single polynomial: the
+    extended Turan expression of (f, f', ..., f^(2n)) at k = 0.
 
     n = 0 gives f^2; n = 1 gives f'^2 - f f''; once n exceeds deg(f) every
     derivative product vanishes and the result is the zero polynomial.
@@ -60,16 +62,12 @@ def extended_laguerre(f: Poly, n: int) -> Poly:
         raise ValueError("zero polynomial")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n == 0:
+        return f * f
     derivs = [f]
     for _ in range(2 * n):
         derivs.append(derivs[-1].derivative())
-    total = Poly()
-    for j in range(2 * n + 1):
-        term = (derivs[j] * derivs[2 * n - j]).scale(
-            Fraction((-1) ** (n + j) * math.comb(2 * n, j), math.factorial(2 * n))
-        )
-        total = total + term
-    return total
+    return extended_turan(derivs, 0, n)
 
 
 def wronskian(f: Poly) -> Poly:

@@ -214,8 +214,6 @@ def verify_chebyshev_closed_forms(k_max: int, n_max: int) -> bool:
 
 
 def _only_nonpositive_real_roots(p: Poly) -> bool:
-    if p.degree() == 0:
-        return True
     # every distinct zero is real and lies in (-inf, 0]
     chain = stability.SturmChain(p)
     return chain.count(None, 0) == chain.squarefree.degree()

@@ -323,43 +323,41 @@ def isolate_extreme_roots(
     real roots m, M of f: returns (m_lo, m_hi, M_lo, M_hi) with
     m_lo < m <= m_hi and M_lo < M <= M_hi.
 
-    Each search bisects (-B, B] for the Cauchy bound B and keeps the
-    variation counts V of its two ends, so a step evaluates the Sturm
-    chain once, at the midpoint; the sign of the chain's first element
-    there, the squarefree part, tells whether the midpoint is a root.  A
-    midpoint that is the target root collapses the bracket onto it.
+    Both are one search for the j-th distinct real root from the left, run
+    for j = 1 and j = r, the number of distinct real roots.  It bisects
+    (-B, B] for the Cauchy bound B and counts from -inf: the roots at or
+    below x number V(-inf) - V(x), and V(-inf) is read off the leading
+    signs, so a step evaluates the Sturm chain once, at the midpoint, and
+    never at +-B (no root lies outside (-B, B), so V(-B) = V(-inf)).  The
+    sign of the chain's first element there, the squarefree part, tells
+    whether the midpoint is a root; the j-th root collapses the bracket.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     chain = SturmChain(f)
-    bound = cauchy_bound(f)
-    v_bound = chain.variations_at(-bound), chain.variations_at(bound)
-    if v_bound[0] == v_bound[1]:
+    r = chain.count(None, None)
+    if r == 0:
         raise ValueError("polynomial has no real roots")
+    bound = cauchy_bound(f)
+    v_minus = _variations_at_infinity_ints(chain._chain, -1)
 
-    def bisect(leftmost: bool) -> tuple[Fraction, Fraction]:
-        # invariant: the target root lies in (lo, hi], and V(lo), V(hi)
-        # are the variation counts there
+    def bisect(j: int) -> tuple[Fraction, Fraction]:
+        # invariant: the j-th root lies in (lo, hi]
         lo, hi = -bound, bound
-        v_lo, v_hi = v_bound
         while hi - lo > tol:
             mid = (lo + hi) / 2
             signs = chain.signs_at(mid)
-            v_mid = _variations(signs)
-            # distinct roots in (lo, mid] for the leftmost, (mid, hi] else
-            inner = v_lo - v_mid if leftmost else v_mid - v_hi
-            if not signs[0] and inner == (1 if leftmost else 0):
-                return max(lo, mid - tol), mid  # mid is the target root
-            if (inner >= 1) == leftmost:
-                hi, v_hi = mid, v_mid
+            below = v_minus - _variations(signs)  # roots in (-inf, mid]
+            if below < j:
+                lo = mid
+            elif not signs[0] and below == j:
+                return max(lo, mid - tol), mid  # mid is the j-th root
             else:
-                lo, v_lo = mid, v_mid
+                hi = mid
         return lo, hi
 
-    m_lo, m_hi = bisect(leftmost=True)
-    M_lo, M_hi = bisect(leftmost=False)
-    return m_lo, m_hi, M_lo, M_hi
+    return (*bisect(1), *bisect(r))
 
 
 # -- stability verdicts -----------------------------------------------

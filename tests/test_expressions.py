@@ -86,6 +86,16 @@ class TestExtendedTuran:
         for n in range(1, 5):
             for k in range(14 - 2 * n):
                 assert extended_turan(seq, k, n) == extended_turan_unfolded(seq, k, n)
+        # the extended Laguerre expression on derivative lists (f, ..., f^(2n));
+        # the quadratic has degree below n for n >= 3, where the sum is 0
+        for f in (bell(7)[7], hermite(7)[7], laguerre(6)[6], P(1, 2, 1)):
+            for n in range(1, 5):
+                derivs = [f]
+                for _ in range(2 * n):
+                    derivs.append(derivs[-1].derivative())
+                expected = extended_turan_unfolded(derivs, 0, n)
+                assert extended_laguerre(f, n) == expected
+                assert expected.is_zero == (n > f.degree())
 
     def test_length_checks(self):
         with pytest.raises(ValueError):

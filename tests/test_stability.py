@@ -207,6 +207,45 @@ def test_isolate_extreme_roots_matches_two_evaluation_reference(name, tol):
         assert isolate_extreme_roots(f, tol) == oracles.isolate_extreme_roots(f, tol), f
 
 
+@pytest.mark.parametrize(
+    "f, tol",
+    [
+        (hermite(13)[13], F(1, 1 << 20)),
+        (P(-1, 0, 1), F(1, 3)),  # a midpoint lands on a root
+        (P(0, 0, 0, 1) * P(-1, 1) ** 3 * P(2, 1), F(1, 1 << 20)),
+    ],
+    ids=["H_13", "x^2-1", "x^3(x-1)^3(x+2)"],
+)
+def test_isolate_extreme_roots_evaluates_only_midpoints(monkeypatch, f, tol):
+    xs = []
+    signs_at = SturmChain.signs_at
+
+    def recording(self, x):
+        xs.append(F(x))
+        return signs_at(self, x)
+
+    monkeypatch.setattr(SturmChain, "signs_at", recording)
+    brackets = isolate_extreme_roots(f, tol)
+    monkeypatch.undo()
+    bound = cauchy_bound(f)
+    assert -bound not in xs and bound not in xs
+    # replay both searches from their results: each evaluation is the
+    # midpoint of its step's bracket, and a search ends at width <= tol or
+    # on the midpoint that is its root
+    rest = iter(xs)
+    for b_lo, b_hi in (brackets[:2], brackets[2:]):
+        lo, hi = -bound, bound
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            assert next(rest) == mid
+            if mid == b_hi and f(mid) == 0:
+                lo, hi = max(lo, mid - tol), mid
+                break
+            lo, hi = (lo, mid) if mid >= b_hi else (mid, hi)
+        assert (lo, hi) == (b_lo, b_hi)
+    assert next(rest, None) is None
+
+
 class TestVerdicts:
     @pytest.mark.parametrize(
         "coeffs",
