@@ -7,12 +7,10 @@ Run as: python3 demos/02_stability_certificates.py
 """
 
 from turanstab import Poly, fisk_expression, gcd, is_weakly_hurwitz, rotate
-from turanstab.stability import coeff_sign_precheck
 
 
 def inspect(label: str, f: Poly) -> None:
     print(f"-- {label}: f = {f.pretty()}")
-    print(f"   coefficient precheck: {coeff_sign_precheck(f)}")
     re, im = rotate(f)
     print(f"   rotated g = (-i)^n f(ix):  re = {re.pretty()}")
     print(f"                              im = {im.pretty()}")

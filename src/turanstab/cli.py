@@ -210,8 +210,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # bad input: one stderr line, and argparse's usage-error exit code
+    except (ValueError, OverflowError, OSError) as exc:
+        # bad input (OverflowError: a --k or --n too large to index a list):
+        # one stderr line, and argparse's usage-error exit code
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

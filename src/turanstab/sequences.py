@@ -1,4 +1,4 @@
-"""Generators for the polynomial families and their recurrence operators.
+"""Generators for the polynomial families.
 
 There are four generators, one per recurrence shape, and each named
 family is an instance of one of them:
@@ -30,30 +30,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import Poly, Scalar
+from .polycore import Poly
 
 POLAR_UNIT = "polar_unit"      # (x*D - k) P_k = P_{k-1}
 POLAR_SCALED = "polar_scaled"  # (k - x*D) P_k = k * P_{k-1}
-
-
-# -- recurrence operators ---------------------------------------------
-
-def apply_type_a(p: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:
-    """One step of the type-A recurrence: a*(x+b)*(p' + c*p)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a == 0:
-        raise ValueError("type A requires a != 0")
-    return (Poly([b, 1]) * (p.derivative() + p.scale(c))).scale(a)
-
-
-def apply_type_h(p: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:
-    """One step of the type-H recurrence: c*(-a*x*p + b*p + p')."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a <= 0:
-        raise ValueError("type H requires a > 0")
-    if c == 0:
-        raise ValueError("type H requires c != 0")
-    return (Poly([b, -a]) * p + p.derivative()).scale(c)
 
 
 # -- named family generators ------------------------------------------
@@ -118,24 +98,38 @@ def jensen(gamma, k_max: int) -> list[Poly]:
 
 
 def type_a(a, b, c, k_max: int) -> list[Poly]:
-    """Type-A sequence from the seed P_0 = 1; needs c_0..c_{k_max-1}."""
+    """Type-A sequence P_{k+1} = a*(x+b)*(P_k' + c_k*P_k) from the seed
+    P_0 = 1; needs c_0..c_{k_max-1}."""
+    a, b = Fraction(a), Fraction(b)
     c = [Fraction(v) for v in c]
+    if a == 0:
+        raise ValueError("type A requires a != 0")
     if len(c) < k_max:
         raise ValueError(
             f"type_a needs {k_max} c values (c0..c{k_max - 1}), one per step; "
             f"got {len(c)}"
         )
+    x_plus_b = Poly([b, 1])
     seq = [Poly.one()]
     for k in range(k_max):
-        seq.append(apply_type_a(seq[-1], a, b, c[k]))
+        p = seq[-1]
+        seq.append((x_plus_b * (p.derivative() + p.scale(c[k]))).scale(a))
     return seq
 
 
 def type_h(a, b, c, k_max: int) -> list[Poly]:
-    """Type-H sequence from the seed P_0 = 1."""
+    """Type-H sequence P_{k+1} = c*(-a*x*P_k + b*P_k + P_k') from the seed
+    P_0 = 1."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if a <= 0:
+        raise ValueError("type H requires a > 0")
+    if c == 0:
+        raise ValueError("type H requires c != 0")
+    b_minus_ax = Poly([b, -a])
     seq = [Poly.one()]
     for _ in range(k_max):
-        seq.append(apply_type_h(seq[-1], a, b, c))
+        p = seq[-1]
+        seq.append((b_minus_ax * p + p.derivative()).scale(c))
     return seq
 
 

@@ -75,9 +75,6 @@ from .polycore import (
 RIGHT_OF = "right_of"
 LEFT_OF = "left_of"
 
-POSSIBLY_STABLE = "possibly_stable"
-CERTAINLY_UNSTABLE = "certainly_unstable"
-
 STABLE = "stable"
 UNSTABLE = "unstable"
 INCONCLUSIVE = "inconclusive"
@@ -178,8 +175,6 @@ def _variations_at_infinity_ints(chain: list[IntPoly], direction: int) -> int:
     # sign at +-inf is sign(lc) * direction^deg; no evaluation needed
     signs = []
     for f in chain:
-        if not f:
-            continue
         s = _sign(f[-1])
         if direction < 0 and (len(f) - 1) % 2 == 1:
             s = -s
@@ -301,8 +296,6 @@ class SturmChain:
 
 def all_roots_real(f: Poly) -> bool:
     """True iff every zero of f is real (multiplicities collapse first)."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
     chain = SturmChain(f)
     return chain.count(None, None) == chain.squarefree.degree()
 
@@ -405,19 +398,6 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
         v_plus=v_plus,
         v_minus=v_minus,
     )
-
-
-def coeff_sign_precheck(f: Poly) -> str:
-    """Necessary-condition filter: a weakly stable polynomial has, after
-    normalizing the leading coefficient positive, no negative coefficient.
-    Never a final verdict on its own.
-    """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    num = clear_denominators(f)
-    if any(c < 0 for c in (num if num[-1] > 0 else [-c for c in num])):
-        return CERTAINLY_UNSTABLE
-    return POSSIBLY_STABLE
 
 
 def nonvanishing_halfplane(f: Poly, tau: Scalar, side: str) -> bool:

@@ -187,6 +187,9 @@ class TestBadInput:
         ["campaign", "--family", "bell", "--k-max", "30", "--out", "r.jsonl"],
         ["campaign", "--family", "bell", "--k-max", "2", "--jobs", "0",
          "--out", "r.jsonl"],
+        # too large to index: Bell's c list of length k overflows at once
+        ["gen", "--family", "bell", "--k", str(10 ** 20)],
+        ["turan", "--family", "bell", "--k", "1", "--n", str(10 ** 20)],
     ])
     def test_one_line_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from turanstab import expressions, harness, sequences
+from turanstab import expressions, harness, sequences, stability
 from turanstab.harness import (
     CampaignConfig,
     DEFAULT_SEED,
@@ -253,6 +253,17 @@ class TestSuites:
 
     def test_jensen_relations_small(self):
         assert verify_jensen_laguerre_relations(10, seed=DEFAULT_SEED)
+
+    def test_jensen_relations_check_every_k(self, monkeypatch):
+        calls = []
+
+        def counting(expr):
+            calls.append(expr)
+            return stability.is_weakly_hurwitz(expr)
+
+        monkeypatch.setattr(harness, "is_weakly_hurwitz", counting)
+        assert verify_jensen_laguerre_relations(51, seed=DEFAULT_SEED)
+        assert len(calls) == 52
 
     def test_theorem_bell_small(self):
         assert verify_theorem_1_2(sequences.spec("bell"), 8)

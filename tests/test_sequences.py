@@ -1,4 +1,4 @@
-"""Family generators, recurrence operators and the polar relations."""
+"""Family generators, the type A/H recurrences and the polar relations."""
 
 import hashlib
 from fractions import Fraction as F
@@ -11,8 +11,6 @@ from turanstab.sequences import (
     POLAR_SCALED,
     POLAR_UNIT,
     SequenceSpec,
-    apply_type_a,
-    apply_type_h,
     bell,
     bessel,
     chebyshev_t,
@@ -101,28 +99,28 @@ class TestNamedFamilies:
 
 class TestOperators:
     def test_type_a_bell_step(self):
-        assert apply_type_a(P(1), 1, 0, 1) == P(0, 1)
-        assert apply_type_a(P(0, 1), 1, 0, 1) == P(0, 1, 1)
+        assert type_a(1, 0, [1, 1], 2) == [P(1), P(0, 1), P(0, 1, 1)]
 
     def test_type_a_general(self):
-        assert apply_type_a(P(1), 2, 1, 3) == P(6, 6)
+        assert type_a(2, 1, [3], 1)[1] == P(6, 6)
 
     def test_type_a_rejects_zero_a(self):
-        with pytest.raises(ValueError):
-            apply_type_a(P(1), 0, 0, 1)
+        for k_max in (1, 0):
+            with pytest.raises(ValueError, match="type A requires a != 0"):
+                type_a(0, 0, [1] * k_max, k_max)
 
     def test_type_h_hermite_steps(self):
-        assert apply_type_h(P(1), 2, 0, -1) == P(0, 2)
-        assert apply_type_h(P(0, 2), 2, 0, -1) == P(-2, 0, 4)
+        assert type_h(2, 0, -1, 2) == [P(1), P(0, 2), P(-2, 0, 4)]
 
     def test_type_h_general(self):
-        assert apply_type_h(P(1), 1, 1, 1) == P(1, -1)
+        assert type_h(1, 1, 1, 1)[1] == P(1, -1)
 
     def test_type_h_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            apply_type_h(P(1), -1, 0, 1)
-        with pytest.raises(ValueError):
-            apply_type_h(P(1), 1, 0, 0)
+        for k_max in (1, 0):
+            with pytest.raises(ValueError, match="type H requires a > 0"):
+                type_h(-1, 0, 1, k_max)
+            with pytest.raises(ValueError, match="type H requires c != 0"):
+                type_h(1, 0, 0, k_max)
 
 
 class TestRelations:

@@ -12,17 +12,14 @@ from turanstab import expressions, harness, polycore, sequences, stability
 from turanstab.polycore import Poly
 from turanstab.sequences import hermite
 from turanstab.stability import (
-    CERTAINLY_UNSTABLE,
     INCONCLUSIVE,
     LEFT_OF,
-    POSSIBLY_STABLE,
     RIGHT_OF,
     STABLE,
     UNSTABLE,
     SturmChain,
     all_roots_real,
     cauchy_bound,
-    coeff_sign_precheck,
     cross_check_oracle,
     interlace_check,
     is_weakly_hurwitz,
@@ -304,22 +301,6 @@ class TestVerdicts:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             is_weakly_hurwitz(Poly())
-
-
-class TestPrecheck:
-    def test_negative_coefficient(self):
-        assert coeff_sign_precheck(P(0, -8, -2, 0, 1)) == CERTAINLY_UNSTABLE
-
-    def test_normalizes_leading_sign(self):
-        assert coeff_sign_precheck(P(-1, -1)) == POSSIBLY_STABLE
-        assert coeff_sign_precheck(P(-1, 1)) == CERTAINLY_UNSTABLE
-
-    def test_soundness_against_verdict(self):
-        # possibly-stable is necessary for a true verdict
-        for coeffs in [(1, 1), (1, 0, 1), (2, 3, 1), (0, 16, 22, 12, 1)]:
-            f = Poly(coeffs)
-            if is_weakly_hurwitz(f).verdict:
-                assert coeff_sign_precheck(f) == POSSIBLY_STABLE
 
 
 class TestNonvanishingHalfplane:
