@@ -53,13 +53,24 @@ def _emit_polys(polys, fmt: str) -> None:
             print(f"P_{i}: {p.pretty()}  [{p.to_text()}]")
 
 
+# the largest sequence index gen and turan compute, P_k or P_(k+2n): a deep
+# grid needs 220, and Laguerre, the slowest family, takes ~3 s to reach 500
+MAX_INDEX = 500
+
+
 def _check_k(args) -> None:
     if args.k < 0:
         raise ValueError("--k must be >= 0")
 
 
+def _check_index(what: str, index: int) -> None:
+    if index > MAX_INDEX:
+        raise ValueError(f"{what} must be <= {MAX_INDEX}; got {index}")
+
+
 def cmd_gen(args) -> int:
     _check_k(args)
+    _check_index("--k", args.k)
     spec = _parse_spec(args)
     polys = sequences.generate(spec, args.k)
     _emit_polys(polys, args.format)
@@ -70,6 +81,7 @@ def cmd_turan(args) -> int:
     _check_k(args)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    _check_index("--k + 2*--n", args.k + 2 * args.n)
     spec = _parse_spec(args)
     seq = sequences.generate(spec, 2 * args.n + args.k)
     shift = _rational("--shift", args.shift or "0")
@@ -210,9 +222,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
-        # bad input (OverflowError: a --k or --n too large to index a list):
-        # one stderr line, and argparse's usage-error exit code
+    except (ValueError, OSError) as exc:
+        # bad input: one stderr line, and argparse's usage-error exit code
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

@@ -211,9 +211,9 @@ def verify_chebyshev_closed_forms(k_max: int, n_max: int) -> bool:
 
 
 def _only_nonpositive_real_roots(p: Poly) -> bool:
-    # every distinct zero is real and lies in (-inf, 0]
-    chain = stability.SturmChain(p)
-    return chain.count(None, 0) == chain.squarefree.degree()
+    # every zero real and <= 0: Descartes' rule of signs is exact for a
+    # real-rooted p, so it has no positive zero iff no sign change
+    return stability.all_roots_real(p) and len({c > 0 for c in p.num if c}) == 1
 
 
 def verify_theorem_1_2(spec_or_seq, k_max: int) -> bool:

@@ -18,6 +18,10 @@ and the chain length equal those of the quotient chain.  The same
 counter alone, with no real-rootedness pre-check, decides strict
 interlacing (``interlace_check``), by the Hermite-Biehler theorem.
 
+The real-line questions (is the gcd real-rooted, where do the extreme
+zeros of a polynomial lie) use the classical Sturm chain of its
+squarefree part instead (``_sturm_chain``).
+
 Fast path.  Write f = x^m h with h(0) != 0 and the leading coefficient of
 h positive.  By the Routh-Hurwitz theorem (Gantmacher, The Theory of
 Matrices II, ch. XV), h is strictly Hurwitz stable iff all deg h + 1
@@ -171,7 +175,7 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(run, run[1:]) if a != b)
 
 
-def _variations_at_infinity_ints(chain: list[IntPoly], direction: int) -> int:
+def _end_variations(chain: list[IntPoly], direction: int) -> int:
     # sign at +-inf is sign(lc) * direction^deg; no evaluation needed
     signs = []
     for f in chain:
@@ -195,8 +199,8 @@ def _halfplane_data(re: IntPoly, im: IntPoly):
     """
     chain = _int_chain(re, im)
     g = chain[-1]
-    v_plus = _variations_at_infinity_ints(chain, +1)
-    v_minus = _variations_at_infinity_ints(chain, -1)
+    v_plus = _end_variations(chain, +1)
+    v_minus = _end_variations(chain, -1)
     dq = len(re) - len(g)
     twice_p = dq + v_plus - v_minus
     if twice_p % 2 != 0 or not (0 <= twice_p // 2 <= dq):
@@ -256,57 +260,33 @@ def _routh_data(num: IntPoly):
 
 # -- real-root machinery ----------------------------------------------
 
-class SturmChain:
-    """Cached integer Sturm chain of the squarefree part of a polynomial."""
+def _sturm_chain(f: Poly) -> list[IntPoly]:
+    """Integer Sturm chain of the squarefree part s of f: s, s', ...
 
-    def __init__(self, f: Poly):
-        if f.is_zero:
-            raise ValueError("zero polynomial")
-        self.squarefree = polycore.squarefree_part(f)
-        self._chain = _int_chain(
-            clear_denominators(self.squarefree),
-            clear_denominators(self.squarefree.derivative()),
-        )
-
-    def signs_at(self, x: Scalar) -> list[int]:
-        """Signs of the chain elements at x, the squarefree part's first."""
-        # at x = p/q with q > 0, an element of degree d has the sign of the
-        # integer q^d * f(p/q)
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        return [_sign(int_horner(f, p, q)) for f in self._chain]
-
-    def variations_at(self, x: Scalar) -> int:
-        return _variations(self.signs_at(x))
-
-    def count(self, lo: Optional[Scalar], hi: Optional[Scalar]) -> int:
-        """Distinct real roots in the half-open interval (lo, hi]."""
-        v_lo = (
-            _variations_at_infinity_ints(self._chain, -1)
-            if lo is None
-            else self.variations_at(lo)
-        )
-        v_hi = (
-            _variations_at_infinity_ints(self._chain, +1)
-            if hi is None
-            else self.variations_at(hi)
-        )
-        return v_lo - v_hi
+    V(-inf) - V(+inf) along it is the number of distinct real zeros of f,
+    and V(-inf) - V(x) the number at or below x.
+    """
+    s = polycore.squarefree_part(f)  # a ValueError for the zero polynomial
+    return _int_chain(s.num, s.derivative().num)
 
 
 def all_roots_real(f: Poly) -> bool:
     """True iff every zero of f is real (multiplicities collapse first)."""
-    chain = SturmChain(f)
-    return chain.count(None, None) == chain.squarefree.degree()
+    chain = _sturm_chain(f)
+    real = _end_variations(chain, -1) - _end_variations(chain, +1)
+    return real == len(chain[0]) - 1
 
 
-def cauchy_bound(f: Poly) -> Fraction:
-    """1 + max|a_i| / |a_n|: every root has absolute value below this."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    # the common denominator cancels from the ratio
-    num = clear_denominators(f)
-    return 1 + Fraction(max((abs(c) for c in num[:-1]), default=0), abs(num[-1]))
+def _root_bound(f: IntPoly) -> int:
+    """The least power of two B >= 1 with |a_(n-j)| <= |a_n| (B/2)^j for
+    every j: Fujiwara's bound rounded up, so every zero has |z| < B."""
+    # a zero with |z| >= B would have |a_n z^n| > sum_j |a_(n-j) z^(n-j)|,
+    # since (B/2)^j |z|^(n-j) <= |z|^n / 2^j and the 2^-j sum below 1
+    lead, e = abs(f[-1]), 0
+    for j, a in enumerate(reversed(f[:-1]), 1):
+        while abs(a) << j > lead << e * j:  # |a| > lead 2^((e-1) j)
+            e += 1
+    return 1 << e
 
 
 def isolate_extreme_roots(
@@ -318,29 +298,33 @@ def isolate_extreme_roots(
 
     Both are one search for the j-th distinct real root from the left, run
     for j = 1 and j = r, the number of distinct real roots.  It bisects
-    (-B, B] for the Cauchy bound B and counts from -inf: the roots at or
-    below x number V(-inf) - V(x), and V(-inf) is read off the leading
-    signs, so a step evaluates the Sturm chain once, at the midpoint, and
-    never at +-B (no root lies outside (-B, B), so V(-B) = V(-inf)).  The
-    sign of the chain's first element there, the squarefree part, tells
-    whether the midpoint is a root; the j-th root collapses the bracket.
+    (-B, B] for the power-of-two root bound B of the squarefree part, so
+    every midpoint is dyadic, and counts from -inf: the roots at or below
+    x number V(-inf) - V(x), and V(-inf) is read off the leading signs, so
+    a step evaluates the Sturm chain once, at the midpoint, and never at
+    +-B (no root lies outside (-B, B), so V(-B) = V(-inf)).  The sign of
+    the chain's first element there, the squarefree part, tells whether
+    the midpoint is a root; the j-th root collapses the bracket.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    chain = SturmChain(f)
-    r = chain.count(None, None)
+    chain = _sturm_chain(f)
+    v_minus = _end_variations(chain, -1)
+    r = v_minus - _end_variations(chain, +1)
     if r == 0:
         raise ValueError("polynomial has no real roots")
-    bound = cauchy_bound(f)
-    v_minus = _variations_at_infinity_ints(chain._chain, -1)
+    bound = Fraction(_root_bound(chain[0]))
 
     def bisect(j: int) -> tuple[Fraction, Fraction]:
         # invariant: the j-th root lies in (lo, hi]
         lo, hi = -bound, bound
         while hi - lo > tol:
             mid = (lo + hi) / 2
-            signs = chain.signs_at(mid)
+            # at mid = p/q with q > 0, an element of degree d has the sign
+            # of the integer q^d * g(p/q)
+            p, q = mid.numerator, mid.denominator
+            signs = [_sign(int_horner(g, p, q)) for g in chain]
             below = v_minus - _variations(signs)  # roots in (-inf, mid]
             if below < j:
                 lo = mid

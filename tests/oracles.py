@@ -44,16 +44,53 @@ def sign_variations_at_infinity(chain: list[Poly], direction: str) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+# -- real roots on an interval ------------------------------------------
+
+class RealRootCounter:
+    """Sturm's theorem on the chain of the squarefree part of f: distinct
+    real roots in a half-open interval, from each element evaluated in
+    Fraction arithmetic."""
+
+    def __init__(self, f: Poly):
+        self.squarefree = polycore.squarefree_part(f)
+        self.chain = euclid_chain(self.squarefree, self.squarefree.derivative())
+
+    def variations_at(self, x) -> int:
+        run = [v > 0 for v in (p(x) for p in self.chain) if v]
+        return sum(1 for a, b in zip(run, run[1:]) if a != b)
+
+    def count(self, lo, hi) -> int:
+        """Distinct real roots in (lo, hi]; None stands for -inf or +inf."""
+        v_lo = (sign_variations_at_infinity(self.chain, "-inf") if lo is None
+                else self.variations_at(lo))
+        v_hi = (sign_variations_at_infinity(self.chain, "+inf") if hi is None
+                else self.variations_at(hi))
+        return v_lo - v_hi
+
+
+def root_bound(f: Poly) -> Fraction:
+    """Fujiwara's bound rounded up to a power of two: the least B = 2^e,
+    e >= 0, with |a_(n-j) / a_n| <= (B/2)^j for j = 1..n.  Every root has
+    absolute value below it."""
+    n = f.degree()
+    ratios = [abs(f.coeffs[n - j] / f.leading) for j in range(1, n + 1)]
+    bound = Fraction(1)
+    while any(r > (bound / 2) ** j for j, r in enumerate(ratios, 1)):
+        bound *= 2
+    return bound
+
+
 # -- root isolation -----------------------------------------------------
 
 def isolate_extreme_roots(f: Poly, tol) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """``stability.isolate_extreme_roots`` the way it bisected before it
     kept the variation counts of its bracket ends: each step counts the
     roots on one side of the midpoint from two chain evaluations and asks
-    f itself whether the midpoint is a root."""
+    f itself whether the midpoint is a root.  Both start from the root
+    bound of the squarefree part."""
     tol = Fraction(tol)
-    chain = stability.SturmChain(f)
-    bound = stability.cauchy_bound(f)
+    chain = RealRootCounter(f)
+    bound = root_bound(chain.squarefree)
     if chain.count(-bound, bound) == 0:
         raise ValueError("polynomial has no real roots")
     s = chain.squarefree

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from turanstab import harness, sequences
-from turanstab.cli import main
+from turanstab.cli import MAX_INDEX, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -187,7 +187,7 @@ class TestBadInput:
         ["campaign", "--family", "bell", "--k-max", "30", "--out", "r.jsonl"],
         ["campaign", "--family", "bell", "--k-max", "2", "--jobs", "0",
          "--out", "r.jsonl"],
-        # too large to index: Bell's c list of length k overflows at once
+        # far over the index ceiling
         ["gen", "--family", "bell", "--k", str(10 ** 20)],
         ["turan", "--family", "bell", "--k", "1", "--n", str(10 ** 20)],
     ])
@@ -217,6 +217,44 @@ class TestBadInput:
             main(["turan", "--family", "bell", "--k", "1", "--n", n])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "turanstab: error: --n must be >= 1\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--family", "laguerre", "--k", str(MAX_INDEX + 1)],
+         f"--k must be <= {MAX_INDEX}; got {MAX_INDEX + 1}"),
+        (["turan", "--family", "laguerre", "--k", "1", "--n", str(MAX_INDEX // 2)],
+         f"--k + 2*--n must be <= {MAX_INDEX}; got {MAX_INDEX + 1}"),
+        (["turan", "--family", "bell", "--k", str(MAX_INDEX), "--reflect"],
+         f"--k + 2*--n must be <= {MAX_INDEX}; got {MAX_INDEX + 2}"),
+    ])
+    def test_index_ceiling(self, capsys, monkeypatch, argv, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("the sequence was generated")
+
+        monkeypatch.setattr(sequences, "generate", fail)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"turanstab: error: {message}\n"
+
+    def test_index_ceiling_admits_the_deep_grid(self, monkeypatch):
+        # a deep grid (k <= 100, n <= 10) indexes up to P_220
+        assert MAX_INDEX >= 220
+        reached = []
+
+        class Reached(Exception):
+            pass
+
+        def stop(spec, k_max):
+            reached.append(k_max)
+            raise Reached
+
+        monkeypatch.setattr(sequences, "generate", stop)
+        for argv in (["gen", "--family", "laguerre", "--k", str(MAX_INDEX)],
+                     ["turan", "--family", "laguerre", "--k", str(MAX_INDEX % 2),
+                      "--n", str(MAX_INDEX // 2)]):
+            with pytest.raises(Reached):
+                main(argv)
+        assert reached == [MAX_INDEX, MAX_INDEX]
 
     @pytest.mark.parametrize("argv, message", [
         (["gen", "--family", "bell", "--params", "1,2", "--k", "1"],

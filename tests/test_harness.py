@@ -209,11 +209,17 @@ class TestReports:
         ("bell", False, "bell"),
         ("laguerre", True, "laguerre-reflected"),
         ("bessel", False, "bessel"),
+        # 301 false verdicts; in 150 of the 156 Legendre and Hermite cells
+        # the gcd of the rotated parts is not real-rooted
+        ("bell", True, "bell-reflected"),
+        ("laguerre", False, "laguerre"),
+        ("legendre", False, "legendre"),
+        ("hermite", False, "hermite"),
     ])
     def test_desk_report_matches_golden(self, tmp_path, family, reflect, name):
-        # the golden files are the criterion-4 desk-tier reports, written
-        # with jobs=1; regenerating them with jobs=2 also pins --jobs
-        # independence
+        # the golden files are the desk-tier reports, written with jobs=1:
+        # criterion 4's three all-true campaigns and four with false cells;
+        # regenerating them with jobs=2 also pins --jobs independence
         k_max, n_max = harness.TIER_LIMITS["desk"]
         cfg = CampaignConfig(family=sequences.spec(family), k_max=k_max,
                              n_max=n_max, reflect=reflect, jobs=2)

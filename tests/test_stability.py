@@ -17,9 +17,7 @@ from turanstab.stability import (
     RIGHT_OF,
     STABLE,
     UNSTABLE,
-    SturmChain,
     all_roots_real,
-    cauchy_bound,
     cross_check_oracle,
     interlace_check,
     is_weakly_hurwitz,
@@ -29,7 +27,13 @@ from turanstab.stability import (
 )
 
 import oracles
-from oracles import euclid_chain, is_squarefree, sign_variations_at_infinity
+from oracles import (
+    RealRootCounter,
+    euclid_chain,
+    is_squarefree,
+    root_bound,
+    sign_variations_at_infinity,
+)
 
 
 def P(*coeffs):
@@ -114,7 +118,7 @@ class TestEuclidChain:
 class TestSturm:
     def test_half_open_semantics(self):
         f = P(-1, 1) * P(-2, 1) * P(-3, 1)
-        chain = SturmChain(f)
+        chain = RealRootCounter(f)
         assert chain.count(1, 2) == 1  # (1, 2] holds only 2
         assert chain.count(0, 1) == 1
         assert chain.count(3, 100) == 0
@@ -122,7 +126,7 @@ class TestSturm:
 
     def test_multiplicities_collapse(self):
         f = P(-1, 1) * P(-1, 1)
-        assert SturmChain(f).count(None, None) == 1
+        assert RealRootCounter(f).count(None, None) == 1
         assert all_roots_real(f)
 
     def test_all_roots_real(self):
@@ -133,15 +137,16 @@ class TestSturm:
     def test_hermite_real_rooted(self):
         for h in hermite(12)[1:]:
             assert all_roots_real(h)
-            assert SturmChain(h).count(None, None) == h.degree()
+            assert RealRootCounter(h).count(None, None) == h.degree()
 
     def test_chain_on_constant(self):
-        assert SturmChain(P(5)).count(None, None) == 0
+        assert RealRootCounter(P(5)).count(None, None) == 0
 
-    def test_cauchy_bound(self):
-        assert cauchy_bound(P(-2, 0, 1)) == 3
+    def test_root_bound(self):
+        # 2 <= (B/2)^2 first at B = 4
+        assert root_bound(P(-2, 0, 1)) == 4
         f = P(-2, 0, 1)
-        assert SturmChain(f).count(-cauchy_bound(f), cauchy_bound(f)) == 2
+        assert RealRootCounter(f).count(-root_bound(f), root_bound(f)) == 2
 
 
 class TestIsolateExtremeRoots:
@@ -169,6 +174,17 @@ class TestIsolateExtremeRoots:
         # bisection midpoints land exactly on the roots of x^2 - 1
         self.check_brackets(P(-1, 0, 1), -1, 1)
 
+    @pytest.mark.parametrize("e", [0, 1, 5, 40])
+    @pytest.mark.parametrize("c", [1, -1])
+    def test_root_at_half_the_bound(self, c, e):
+        # x + c 2^e has the bound 2^(e+1); at 2^e the root -2^e would sit
+        # on the open end of (-B, B]
+        self.check_brackets(P(c * 2**e, 1), -c * 2**e, -c * 2**e)
+
+    def test_multiple_roots(self):
+        self.check_brackets(P(0, 0, 0, 0, 1), 0, 0)  # x^4
+        self.check_brackets(P(-1, 1) ** 5, 1, 1)
+
     def test_no_real_roots(self):
         with pytest.raises(ValueError):
             isolate_extreme_roots(P(1, 0, 1), self.TOL)
@@ -176,6 +192,22 @@ class TestIsolateExtremeRoots:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             isolate_extreme_roots(P(-1, 1), 0)
+
+
+@pytest.mark.parametrize("f, bound", [
+    (P(0, 0, 0, 1), 1),  # x^3: no coefficient asks for more than 2^0
+    *[(P(c * 2**e, 1), 2 ** (e + 1)) for e in (0, 1, 5) for c in (1, -1)],
+    (P(-1, 1) ** 5, 16),  # the coefficient 5 of x^4 needs B/2 >= 5
+    (P(F(-1, 3), 0, 1), 2),  # x^2 - 1/3: 1/3 <= (B/2)^2 at B = 2
+    (hermite(13)[13], 16),  # the Cauchy bound is about 8,447
+], ids=["x^3", "x+1", "x-1", "x+2", "x-2", "x+32", "x-32", "(x-1)^5",
+        "x^2-1/3", "H_13"])
+def test_root_bound_is_the_least_power_of_two(f, bound):
+    assert stability._root_bound(f.num) == root_bound(f) == bound
+    counter = RealRootCounter(f)
+    # every root in the open interval (-B, B)
+    assert counter.count(None, -bound) == counter.count(bound, None) == 0
+    assert f(bound) != 0
 
 
 _BRACKET_TOLS = [F(1, 1 << 20), F(1, 3), F(1, 1 << 40)]
@@ -214,17 +246,21 @@ def test_isolate_extreme_roots_matches_two_evaluation_reference(name, tol):
     ids=["H_13", "x^2-1", "x^3(x-1)^3(x+2)"],
 )
 def test_isolate_extreme_roots_evaluates_only_midpoints(monkeypatch, f, tol):
-    xs = []
-    signs_at = SturmChain.signs_at
+    points = []
+    int_horner = stability.int_horner
 
-    def recording(self, x):
-        xs.append(F(x))
-        return signs_at(self, x)
+    def recording(g, p, q):
+        points.append(F(p, q))
+        return int_horner(g, p, q)
 
-    monkeypatch.setattr(SturmChain, "signs_at", recording)
+    monkeypatch.setattr(stability, "int_horner", recording)
     brackets = isolate_extreme_roots(f, tol)
     monkeypatch.undo()
-    bound = cauchy_bound(f)
+    # each step evaluates every element of the chain at one point
+    length = len(stability._sturm_chain(f))
+    xs = points[::length]
+    assert points == [x for x in xs for _ in range(length)]
+    bound = root_bound(RealRootCounter(f).squarefree)
     assert -bound not in xs and bound not in xs
     # replay both searches from their results: each evaluation is the
     # midpoint of its step's bracket, and a search ends at width <= tol or
@@ -391,12 +427,13 @@ def test_product_of_linear_factors(roots):
     assert is_weakly_hurwitz(f).verdict == all(r <= 0 for r in roots)
 
 
-def _variations_by_evaluation(f, x):
-    """Sign changes at x along the Sturm chain of the squarefree part of f,
-    each element evaluated in Fraction arithmetic."""
-    s = polycore.squarefree_part(f)
-    signs = [p(x) for p in euclid_chain(s, s.derivative())]
-    run = [v > 0 for v in signs if v]
+def _variations_of_library_chain(f, x):
+    """Sign changes at x along ``stability._sturm_chain(f)``, each element
+    evaluated the way ``isolate_extreme_roots`` does."""
+    x = F(x)
+    values = [polycore.int_horner(g, x.numerator, x.denominator)
+              for g in stability._sturm_chain(f)]
+    run = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(run, run[1:]) if a != b)
 
 
@@ -413,10 +450,10 @@ def test_sturm_count_splits_at_midpoint(data, lead, root, mid):
     # f has the rational root `root`; a None draw splits exactly there
     f = Poly(data + [lead]) * Poly([-root, 1])
     mid = root if mid is None else mid
-    chain = SturmChain(f)
-    b = cauchy_bound(chain.squarefree)
+    chain = RealRootCounter(f)
+    b = root_bound(chain.squarefree)
     assert chain.count(-b, b) == chain.count(-b, mid) + chain.count(mid, b)
-    assert chain.variations_at(mid) == _variations_by_evaluation(f, mid)
+    assert chain.variations_at(mid) == _variations_of_library_chain(f, mid)
     assert chain.count(root - F(1, 10**6), root) >= 1
 
 
@@ -440,6 +477,43 @@ def _product(kind, centres, b):
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 _nonzero = _rationals.filter(bool)
+
+
+# -- real-root answers against the interval counter --------------------
+
+@st.composite
+def _lines_and_pairs(draw):
+    """(f, real) for f = c * prod(factor^multiplicity) over rational
+    linear factors x - a and non-real pairs with zeros a +- ib."""
+    factors = draw(st.lists(
+        st.tuples(st.booleans(), _rationals, _nonzero,
+                  st.integers(min_value=1, max_value=3)),
+        min_size=1, max_size=8,
+    ))
+    f, real = Poly([draw(_nonzero)]), True
+    for linear, a, b, mult in factors:
+        f = f * _factor("linear" if linear else "pair", a, b) ** mult
+        real = real and linear
+    return f, real
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_lines_and_pairs())
+# zeros 0, 1 (double) and -3: real, one zero positive
+@example(case=(P(0, 1) * P(-1, 1) ** 2 * P(3, 1), True))
+# -3 x^2 (x + 1/2): every zero <= 0, under a negative leading coefficient
+@example(case=(P(0, 0, 1) * P(F(1, 2), 1) * -3, True))
+# x (x^2 + 1)^2: a zero at 0 and a repeated non-real pair
+@example(case=(P(0, 1) * P(1, 0, 1) ** 2, False))
+def test_real_root_answers_match_the_interval_counter(case):
+    f, real = case
+    counter = RealRootCounter(f)
+    distinct = counter.squarefree.degree()
+    assert all_roots_real(f) == real == (counter.count(None, None) == distinct)
+    # the coefficient-sign rule against the count on (-inf, 0]
+    assert harness._only_nonpositive_real_roots(f) == (
+        counter.count(None, 0) == distinct
+    )
 
 
 @st.composite
@@ -538,7 +612,7 @@ def _assert_matches_two_chain_reference(f, stable):
 
 def _isolate_real_roots(chain):
     """Disjoint half-open intervals (lo, hi], one distinct real root each."""
-    bound = cauchy_bound(chain.squarefree)
+    bound = root_bound(chain.squarefree)
     out = []
 
     def recurse(lo, hi, n):
@@ -572,7 +646,7 @@ def _isolation_reference(f, g):
         return True
     if polycore.gcd(f, g).degree() > 0:
         return False
-    cf, cg = SturmChain(f), SturmChain(g)
+    cf, cg = RealRootCounter(f), RealRootCounter(g)
     ivs_f, ivs_g = _isolate_real_roots(cf), _isolate_real_roots(cg)
 
     def disjoint(a, b):
