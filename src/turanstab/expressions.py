@@ -4,17 +4,22 @@ The k-th Turan expression of a sequence P is (P_{k+1})^2 - P_{k+2} P_k,
 the negated 2x2 Hankel determinant.  The order-n extended form is the
 alternating binomial convolution
 
-    sum_{j=0}^{2n} (-1)^(n+j) / (2n)!  C(2n, j)  P_{j+k}  P_{2n+k-j},
+    T(k, n) = sum_{j=0}^{2n} (-1)^(n+j) / (2n)!  C(2n, j)  P_{j+k}  P_{2n+k-j},
 
-which collapses to the plain Turan expression at n = 1.  The extended
-Laguerre expression of one polynomial f is the extended Turan expression
-of its derivatives (f, f', ..., f^(2n)) at k = 0; its n = 1 case is the
-classical f'^2 - f f''.
+which collapses to the plain Turan expression at n = 1.  Every term is a
+product P_a P_b with a + b = 2(k + n), so the expressions of one
+anti-diagonal t = k + n share their products: ``turan_diagonal`` forms
+the products P_{t-i} P_{t+i} once, as integer lists over one
+denominator, and combines them for every n asked.  ``extended_turan``
+is the one-cell case.  The extended Laguerre expression of one
+polynomial f is the extended Turan expression of its derivatives (f, f',
+..., f^(2n)) at k = 0; its n = 1 case is the classical f'^2 - f f''.
 
-``build_expression`` is the one path from a sequence to the object a
-campaign cell or the ``turan`` command decides: the extended Turan
-expression, reflected (x -> -x, used for Laguerre) and shifted (x -> x +
-shift, used for type A with shift -b) as asked.
+``reflect_shift`` is the one path from an expression to the object a
+campaign cell or the ``turan`` command decides: reflected (x -> -x, used
+for Laguerre) and shifted (x -> x + shift, used for type A with shift
+-b) as asked.  ``build_expression`` applies it to one extended Turan
+expression.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polycore import Poly, Scalar
+from .polycore import Poly, Scalar, int_mul
 
 
 def turan(seq: list[Poly], k: int) -> Poly:
@@ -31,24 +36,43 @@ def turan(seq: list[Poly], k: int) -> Poly:
 
 
 def extended_turan(seq: list[Poly], k: int, n: int) -> Poly:
-    """Order-n extended Turan expression at index k.
+    """Order-n extended Turan expression at index k."""
+    return turan_diagonal(seq, k + n, (n,))[0]
 
-    The j and 2n-j terms of the sum are equal, so the sum is folded; the
-    unfolded form is kept around in the tests as a consistency oracle.
+
+def turan_diagonal(seq: list[Poly], t: int, ns) -> list[Poly]:
+    """The extended Turan expressions T(t - n, n) for each n in ``ns``.
+
+    With Q_i = P_{t-i} P_{t+i},
+
+        T(t - n, n) = sum_{i=-n}^{n} (-1)^i C(2n, n+i) Q_|i| / (2n)!,
+
+    so the window P_{t-top} .. P_{t+top}, top = max(ns), is put over one
+    denominator D, its top + 1 integer products Q_0 .. Q_top are formed
+    once, and each expression is one integer combination of them over
+    D^2 (2n)!.  The unfolded sum is kept in the tests as an oracle.
     """
-    if n < 1:
+    if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
-    if k < 0:
+    top = max(ns)
+    if top > t:
         raise ValueError("k must be >= 0")
-    if len(seq) < 2 * n + k + 1:
-        raise ValueError(f"sequence must reach index {2 * n + k}")
-    total = Poly()
-    for j in range(n):
-        term = (seq[j + k] * seq[2 * n + k - j]).scale(2 * math.comb(2 * n, j))
-        total = total + term if (n + j) % 2 == 0 else total - term
-    middle = (seq[n + k] * seq[n + k]).scale(math.comb(2 * n, n))
-    total = total + middle
-    return total.scale(Fraction(1, math.factorial(2 * n)))
+    if len(seq) < t + top + 1:
+        raise ValueError(f"sequence must reach index {t + top}")
+    window = seq[t - top : t + top + 1]
+    den = math.lcm(*(p.den for p in window))
+    nums = [[c * (den // p.den) for c in p.num] for p in window]
+    products = [int_mul(nums[top - i], nums[top + i]) for i in range(top + 1)]
+    out = []
+    for n in ns:
+        total = [0] * max(len(q) for q in products[: n + 1])
+        for i, q in enumerate(products[: n + 1]):
+            # Q_i stands for the terms at -i and +i alike
+            weight = (-1) ** i * math.comb(2 * n, n + i) * (2 if i else 1)
+            for j, c in enumerate(q):
+                total[j] += weight * c
+        out.append(Poly.from_ints(total, den * den * math.factorial(2 * n)))
+    return out
 
 
 def extended_laguerre(f: Poly, n: int) -> Poly:
@@ -86,17 +110,19 @@ def fisk_expression(f: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:
     )
 
 
-def build_expression(
-    seq: list[Poly], k: int, n: int, reflect: bool, shift: Fraction
-) -> Poly:
-    """Order-n extended Turan expression at index k, reflected and shifted.
-
-    ``reflect`` applies x -> -x to the expression; a non-zero ``shift``
-    then applies x -> x + shift.
-    """
-    expr = extended_turan(seq, k, n)
+def reflect_shift(expr: Poly, reflect: bool, shift: Fraction) -> Poly:
+    """``reflect`` applies x -> -x to expr; a non-zero ``shift`` then
+    applies x -> x + shift."""
     if reflect:
         expr = expr.compose_linear(-1, 0)
     if shift:
         expr = expr.compose_linear(1, shift)
     return expr
+
+
+def build_expression(
+    seq: list[Poly], k: int, n: int, reflect: bool, shift: Fraction
+) -> Poly:
+    """Order-n extended Turan expression at index k, reflected and shifted
+    by ``reflect_shift``."""
+    return reflect_shift(extended_turan(seq, k, n), reflect, shift)

@@ -1,14 +1,17 @@
 """Verification suites, conjecture campaigns and JSONL reporting.
 
 The campaigns sweep extended Turan expressions of a family over a
-(k, n) grid and record the exact stability verdict of every cell.  A
-cell builds its expression with ``expressions.build_expression`` from
-the window P_k .. P_{k+2n} of the sequence, reflected and shifted as the
-campaign asks, and decides it with ``stability.is_weakly_hurwitz``.  Every
-false verdict is flagged, whatever the family.  For a family whose
-stability is proved or conjectured a flag would be a counterexample to a
-published claim; for another it may be expected (the Chebyshev T
-expressions are multiples of (1 - x^2)^n, which vanishes at x = 1).
+(k, n) grid and record the exact stability verdict of every cell.  The
+unit of work is one anti-diagonal k + n = t of the grid: its cells share
+the products P_{t-i} P_{t+i}, so ``expressions.turan_diagonal`` builds
+all their expressions at once from the window P_{t-top} .. P_{t+top}
+(top the largest n on the diagonal).  Each expression is then reflected
+and shifted by ``expressions.reflect_shift`` as the campaign asks and
+decided with ``stability.is_weakly_hurwitz``.  Every false verdict is
+flagged, whatever the family.  For a family whose stability is proved or
+conjectured a flag would be a counterexample to a published claim; for
+another it may be expected (the Chebyshev T expressions are multiples
+of (1 - x^2)^n, which vanishes at x = 1).
 
 Two tiers bound the sweep ranges: desk (k <= 25, n <= 3) is the everyday
 gate, full (k <= 50, n <= 5) reproduces the long verification runs.
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import expressions, sequences, stability
-from .expressions import build_expression
+from .expressions import build_expression, reflect_shift, turan_diagonal
 from .polycore import Poly, int_horner
 from .sequences import POLAR_SCALED, POLAR_UNIT, SequenceSpec
 from .stability import (
@@ -83,27 +86,43 @@ class ReportRecord:
         return (self.family, self.k, self.n)
 
 
-def _run_cell(args) -> ReportRecord:
-    family, k, n, window, reflect, shift = args
+def _diagonals(k_max: int, n_max: int):
+    """(t, ns) for each anti-diagonal k + n = t of the grid k <= k_max,
+    1 <= n <= n_max, largest t first: ns lists its n in increasing order."""
+    for t in range(k_max + n_max, 0, -1):
+        yield t, tuple(range(max(1, t - k_max), min(n_max, t) + 1))
+
+
+def _run_diagonal(unit) -> list[ReportRecord]:
+    """The records of one diagonal's cells.  A cell's ``elapsed_ms`` is its
+    own reflect/shift and verdict time plus an equal share of the
+    diagonal's build, so the cell times add up to the work done."""
+    family, t, ns, window, reflect, shift = unit
     start = time.perf_counter()
-    # window holds P_k .. P_{k+2n}, so the extended expression sits at index 0
-    expr = build_expression(window, 0, n, reflect, shift)
-    if expr.is_zero:
-        verdict, degree, cert = False, -1, {}
-    else:
-        certificate = is_weakly_hurwitz(expr)
-        verdict, degree, cert = certificate.verdict, expr.degree(), certificate.summary()
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return ReportRecord(
-        family=family,
-        k=k,
-        n=n,
-        degree=degree,
-        verdict=verdict,
-        flagged=not verdict,
-        certificate=cert,
-        elapsed_ms=elapsed_ms,
-    )
+    # window holds P_{t-top} .. P_{t+top}, so the diagonal sits at index top
+    exprs = turan_diagonal(window, ns[-1], ns)
+    share_ms = (time.perf_counter() - start) * 1000.0 / len(ns)
+    records = []
+    for n, expr in zip(ns, exprs):
+        start = time.perf_counter()
+        expr = reflect_shift(expr, reflect, shift)
+        if expr.is_zero:
+            verdict, degree, cert = False, -1, {}
+        else:
+            certificate = is_weakly_hurwitz(expr)
+            verdict, degree = certificate.verdict, expr.degree()
+            cert = certificate.summary()
+        records.append(ReportRecord(
+            family=family,
+            k=t - n,
+            n=n,
+            degree=degree,
+            verdict=verdict,
+            flagged=not verdict,
+            certificate=cert,
+            elapsed_ms=share_ms + (time.perf_counter() - start) * 1000.0,
+        ))
+    return records
 
 
 def _usable_cpus() -> int:
@@ -117,30 +136,31 @@ def _usable_cpus() -> int:
 def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
     """Stability verdicts over the (k, n) grid, in (k, n) order.
 
-    The unit of work is one (family, k, n) cell; workers share only the
-    immutable sequence prefix, and the records are put back in (k, n)
-    order, so they do not depend on ``jobs``.  The pool has at most one
-    worker per cell and per CPU this process may run on, however large
-    ``jobs`` is; with one worker the cells run in this process.  A pool
-    gets the cells heaviest first (largest k + n, so largest degree
-    2(k + n)) in about four chunks per worker: one task per cell would
-    cost a round trip each, and a long cell sent last would leave the
-    other workers idle.
+    The unit of work is one anti-diagonal k + n = t with its window of
+    the sequence and its cells, so each product P_{t-i} P_{t+i} is formed
+    once for all of them; workers share only the immutable sequence
+    prefix, and the records are put back in (k, n) order, so they do not
+    depend on ``jobs``.  The pool has at most one worker per diagonal and
+    per CPU this process may run on, however large ``jobs`` is; with one
+    worker the diagonals run in this process.  A pool gets the diagonals
+    heaviest first (largest t, so largest degree 2t) in about four chunks
+    per worker: one task per diagonal would cost a round trip each, and a
+    long diagonal sent last would leave the other workers idle.
     """
     seq = sequences.generate(cfg.family, 2 * cfg.n_max + cfg.k_max)
-    args = []
-    for k in range(cfg.k_max + 1):
-        for n in range(1, cfg.n_max + 1):
-            window = seq[k : k + 2 * n + 1]
-            args.append((cfg.family.family, k, n, window, cfg.reflect, cfg.shift))
-    workers = min(cfg.jobs, len(args), _usable_cpus())
+    units = []
+    for t, ns in _diagonals(cfg.k_max, cfg.n_max):
+        window = seq[t - ns[-1] : t + ns[-1] + 1]
+        units.append((cfg.family.family, t, ns, window, cfg.reflect, cfg.shift))
+    workers = min(cfg.jobs, len(units), _usable_cpus())
     if workers == 1:
-        return [_run_cell(a) for a in args]
-    heaviest_first = sorted(args, key=lambda a: a[1] + a[2], reverse=True)
-    chunksize = -(-len(args) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        records = pool.map(_run_cell, heaviest_first, chunksize=chunksize)
-        return sorted(records, key=ReportRecord.sort_key)
+        per_diagonal = map(_run_diagonal, units)
+    else:
+        chunksize = -(-len(units) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_diagonal = list(pool.map(_run_diagonal, units, chunksize=chunksize))
+    records = [rec for recs in per_diagonal for rec in recs]
+    return sorted(records, key=ReportRecord.sort_key)
 
 
 def emit_reports(records: list[ReportRecord], path, with_timing: bool = False) -> None:
@@ -198,15 +218,14 @@ def verify_chebyshev_closed_forms(k_max: int, n_max: int) -> bool:
     t_seq = sequences.chebyshev_t(top)
     u_seq = sequences.chebyshev_u(top)
     base = Poly([1, 0, -1])  # 1 - x^2
+    want = {}
     for n in range(1, n_max + 1):
         scale = Fraction(1 << (2 * n - 1), factorial(2 * n))
-        want_t = base ** n * scale
-        want_u = base ** (n - 1) * scale
-        for k in range(k_max + 1):
-            if expressions.extended_turan(t_seq, k, n) != want_t:
-                return False
-            if expressions.extended_turan(u_seq, k, n) != want_u:
-                return False
+        want[n] = (base ** n * scale, base ** (n - 1) * scale)
+    for t, ns in _diagonals(k_max, n_max):
+        got = zip(turan_diagonal(t_seq, t, ns), turan_diagonal(u_seq, t, ns))
+        if list(got) != [want[n] for n in ns]:
+            return False
     return True
 
 

@@ -40,8 +40,9 @@ class Poly:
         self.num, self.den = num, den
 
     @classmethod
-    def _of(cls, num: list[int], den: int) -> "Poly":
-        """The polynomial num/den, normalised; takes ownership of ``num``."""
+    def from_ints(cls, num: list[int], den: int) -> "Poly":
+        """The polynomial num/den for integer numerators and a non-zero
+        integer denominator, normalised; takes ownership of ``num``."""
         while num and not num[-1]:
             num.pop()
         g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
@@ -106,25 +107,17 @@ class Poly:
             a, b = b, a
         for i, c in enumerate(b):
             a[i] += c
-        return Poly._of(a, den)
+        return Poly.from_ints(a, den)
 
     def __neg__(self) -> "Poly":
-        return Poly._of([-c for c in self.num], self.den)
+        return Poly.from_ints([-c for c in self.num], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, Poly):
-            a, b = self.num, other.num
-            if not a or not b:
-                return Poly()
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] += ca * cb
-            return Poly._of(out, self.den * other.den)
+            return Poly.from_ints(int_mul(self.num, other.num), self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other: Scalar) -> "Poly":
@@ -132,7 +125,8 @@ class Poly:
 
     def scale(self, c: Scalar) -> "Poly":
         c = Fraction(c)
-        return Poly._of([x * c.numerator for x in self.num], self.den * c.denominator)
+        num = [x * c.numerator for x in self.num]
+        return Poly.from_ints(num, self.den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -148,12 +142,12 @@ class Poly:
 
     def shift_x(self, n: int) -> "Poly":
         """Multiply by x^n."""
-        return Poly._of([0] * n + self.num, self.den)
+        return Poly.from_ints([0] * n + self.num, self.den)
 
     # -- calculus and substitution ------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly._of([i * c for i, c in enumerate(self.num) if i], self.den)
+        return Poly.from_ints([i * c for i, c in enumerate(self.num) if i], self.den)
 
     def compose_linear(self, a: Scalar, b: Scalar) -> "Poly":
         """Return p(a*x + b) expanded exactly.
@@ -173,7 +167,7 @@ class Poly:
                 desc[:top] = accumulate(desc[:top], lambda acc, c: acc * s + c)
         tu, v = t * a.numerator, a.denominator
         out = [c * tu**i * v ** (d - i) for i, c in enumerate(reversed(desc))]
-        return Poly._of(out, self.den * (t * v) ** d)
+        return Poly.from_ints(out, self.den * (t * v) ** d)
 
     def __call__(self, x: Scalar) -> Fraction:
         if not self.num:
@@ -207,7 +201,7 @@ class Poly:
                 rem[i + j] -= c * e
         if any(rem):
             raise ValueError("inexact polynomial division")
-        return Poly._of([c * other.den for c in quot], self.den * content)
+        return Poly.from_ints([c * other.den for c in quot], self.den * content)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -264,6 +258,18 @@ def int_primitive(f: Sequence[int]) -> IntPoly:
     return [c // g for c in f]
 
 
+def int_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
+    """The product of two integer lists; empty if either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
 def int_horner(f: Sequence[int], p: int, q: int) -> int:
     """q^d * f(p/q) for an integer list f of degree d, by Horner's rule."""
     acc, q_pow = 0, 1
@@ -317,7 +323,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
             return Poly.one()
         r, _ = int_pseudo_rem(f, g)
         if not r:
-            return Poly._of(g, g[-1])  # g / lc(g)
+            return Poly.from_ints(g, g[-1])  # g / lc(g)
         f, g = g, int_primitive(r)
 
 

@@ -86,14 +86,21 @@ def bessel(k_max: int) -> list[Poly]:
 
 
 def jensen(gamma, k_max: int) -> list[Poly]:
-    """Jensen polynomials g_n = sum_k C(n,k) gamma_k x^k for a gamma list."""
+    """Jensen polynomials g_n = sum_k C(n,k) gamma_k x^k for a gamma list.
+
+    The gammas are put over one denominator, so each member is built from
+    the integer numerators C(n,k) * gamma_k * den.
+    """
     gamma = [Fraction(g) for g in gamma]
     if len(gamma) < k_max + 1:
         raise ValueError(
             f"jensen needs {k_max + 1} gamma values (gamma0..gamma{k_max}); "
             f"got {len(gamma)}"
         )
-    return [Poly(math.comb(n, k) * gamma[k] for k in range(n + 1))
+    gamma = gamma[: k_max + 1]
+    den = math.lcm(*(g.denominator for g in gamma))
+    nums = [g.numerator * (den // g.denominator) for g in gamma]
+    return [Poly.from_ints([math.comb(n, k) * nums[k] for k in range(n + 1)], den)
             for n in range(k_max + 1)]
 
 

@@ -13,10 +13,20 @@ from turanstab.expressions import (
     extended_turan,
     fisk_expression,
     turan,
+    turan_diagonal,
     wronskian,
 )
+from turanstab.harness import TIER_LIMITS
 from turanstab.polycore import Poly
-from turanstab.sequences import bell, chebyshev_t, hermite, laguerre
+from turanstab.sequences import (
+    bell,
+    bessel,
+    chebyshev_t,
+    hermite,
+    jensen,
+    laguerre,
+    legendre,
+)
 
 
 def P(*coeffs):
@@ -102,6 +112,48 @@ class TestExtendedTuran:
             extended_turan(bell(4), 1, 2)
         with pytest.raises(ValueError):
             extended_turan(bell(4), 0, 0)
+
+
+# gamma_0..gamma_2 = 0 makes g_0..g_2 the zero polynomial, and with them
+# the expressions at (0, 1), (1, 1) and (0, 2)
+ZERO_LED_GAMMA = [0, 0, 0, 1, F(-1, 2), 0, 3, F(1, 7), 2, F(-5, 3), 1]
+
+
+class TestTuranDiagonal:
+    @pytest.mark.parametrize("make", [bell, laguerre, bessel, legendre, hermite])
+    def test_every_desk_cell_matches_unfolded(self, make):
+        k_max, n_max = TIER_LIMITS["desk"]
+        seq = make(k_max + 2 * n_max)
+        for t in range(1, k_max + n_max + 1):
+            ns = range(max(1, t - k_max), min(n_max, t) + 1)
+            got = turan_diagonal(seq, t, ns)
+            assert got == [extended_turan_unfolded(seq, t - n, n) for n in ns]
+
+    def test_zero_members_and_zero_expressions(self):
+        seq = jensen(ZERO_LED_GAMMA, 10)
+        assert [p.is_zero for p in seq[:4]] == [True, True, True, False]
+        zero = []
+        for t in range(1, 8):
+            ns = range(1, min(3, t, 10 - t) + 1)
+            for n, got in zip(ns, turan_diagonal(seq, t, ns)):
+                assert got == extended_turan_unfolded(seq, t - n, n)
+                if got.is_zero:
+                    zero.append((t - n, n))
+        assert zero == [(0, 1), (1, 1), (0, 2)]
+
+    def test_one_cell_is_extended_turan(self):
+        seq = laguerre(12)
+        assert turan_diagonal(seq, 5, [3]) == [extended_turan(seq, 2, 3)]
+
+    def test_validation(self):
+        seq = bell(8)
+        for ns in ((), (0, 1)):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                turan_diagonal(seq, 3, ns)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            turan_diagonal(seq, 2, (1, 3))
+        with pytest.raises(ValueError, match="sequence must reach index 9"):
+            turan_diagonal(seq, 6, (1, 3))
 
 
 class TestExtendedLaguerre:

@@ -24,7 +24,7 @@ from turanstab.harness import (
     verify_theorem_1_2,
     verify_wronskian_strip,
 )
-from turanstab.polycore import Poly
+from turanstab.polycore import Poly, int_mul
 from turanstab.sequences import POLAR_UNIT
 
 from oracles import is_squarefree, oracle_agreement, random_squarefree_poly
@@ -36,7 +36,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def pool_calls(monkeypatch):
     """Stand in for the campaign's process pool in this process, so no
     worker process is ever started; each pool records its worker count and
-    the cells and chunk size given to ``map``."""
+    the diagonal units and chunk size given to ``map``."""
     calls = []
 
     class InProcessPool:
@@ -51,9 +51,9 @@ def pool_calls(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            cells = list(iterable)
-            self.call.update(cells=cells, chunksize=chunksize)
-            return map(fn, cells)
+            units = list(iterable)
+            self.call.update(units=units, chunksize=chunksize)
+            return map(fn, units)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
     return calls
@@ -104,14 +104,51 @@ class TestCampaign:
         assert paths[0] == paths[1]
 
     def test_counterexample_flagging(self, monkeypatch):
-        def spoiler(window, k, n, reflect, shift):
+        def spoiler(window, t, ns):
             # plant a right-half-plane root to exercise the flag path
-            built = expressions.build_expression(window, k, n, reflect, shift)
-            return built * Poly([-1, 1])
+            built = expressions.turan_diagonal(window, t, ns)
+            return [expr * Poly([-1, 1]) for expr in built]
 
-        monkeypatch.setattr(harness, "build_expression", spoiler)
+        monkeypatch.setattr(harness, "turan_diagonal", spoiler)
         records = run_campaign(bell_cfg(k_max=2, n_max=1, jobs=1))
         assert all(r.flagged and not r.verdict for r in records)
+
+    def test_zero_expression_is_a_false_cell_of_no_degree(self):
+        # gamma_0..gamma_2 = 0: the cells (0, 1), (1, 1) and (0, 2) are built
+        # from zero members only, and their expressions are zero
+        gamma = [0, 0, 0, 1, F(-1, 2), 0, 3, F(1, 7), 2]
+        cfg = CampaignConfig(family=sequences.spec("jensen", gamma), k_max=4, n_max=2)
+        records = run_campaign(cfg)
+        zero = [(r.k, r.n) for r in records if r.degree == -1]
+        assert zero == [(0, 1), (0, 2), (1, 1)]
+        for r in records:
+            if r.degree == -1:
+                assert not r.verdict and r.flagged and r.certificate == {}
+
+    def test_each_diagonal_forms_its_products_once(self, monkeypatch):
+        products, per_unit = [], []
+
+        def counting_mul(a, b):
+            products.append(1)
+            return int_mul(a, b)
+
+        def counting_diagonal(window, t, ns):
+            before = len(products)
+            built = expressions.turan_diagonal(window, t, ns)
+            per_unit.append((ns, len(products) - before))
+            return built
+
+        monkeypatch.setattr(expressions, "int_mul", counting_mul)
+        monkeypatch.setattr(harness, "turan_diagonal", counting_diagonal)
+        k_max, n_max = harness.TIER_LIMITS["desk"]
+        run_campaign(bell_cfg(k_max=k_max, n_max=n_max))
+        assert len(per_unit) == k_max + n_max
+        assert all(count == max(ns) + 1 for ns, count in per_unit)
+        full = [count for ns, count in per_unit if ns == tuple(range(1, n_max + 1))]
+        assert full == [n_max + 1] * (k_max - n_max + 2)
+        # t = 1 and 2 make 2 and 3 products, t = 3..28 four each; building
+        # each cell alone made n + 1, so 26 * (2 + 3 + 4) = 234
+        assert len(products) == 2 + 3 + 26 * 4
 
     @pytest.mark.parametrize("affinity, cpus, workers", [
         pytest.param(8, 8, 3, id="8-3"),
@@ -125,11 +162,12 @@ class TestCampaign:
         self, monkeypatch, pool_calls, affinity, cpus, workers
     ):
         set_cpus(monkeypatch, affinity, cpus)
-        records = run_campaign(bell_cfg(k_max=2, n_max=1, jobs=1_000_000))
-        # three cells; one worker runs them in this process, without a pool
+        records = run_campaign(bell_cfg(k_max=1, n_max=2, jobs=1_000_000))
+        # four cells on the three diagonals k + n = 1, 2, 3, so three units;
+        # one worker runs them in this process, without a pool
         assert [c["max_workers"] for c in pool_calls] == ([workers] if workers else [])
         assert [(r.k, r.n, r.verdict) for r in records] == [
-            (0, 1, True), (1, 1, True), (2, 1, True),
+            (0, 1, True), (0, 2, True), (1, 1, True), (1, 2, True),
         ]
 
     def test_pool_gets_heaviest_cells_first_in_few_chunks(
@@ -138,9 +176,13 @@ class TestCampaign:
         set_cpus(monkeypatch, 2, 2)
         records = run_campaign(bell_cfg(k_max=6, n_max=3, jobs=2))
         [call] = pool_calls
-        sizes = [cell[1] + cell[2] for cell in call["cells"]]
+        # a unit is one diagonal t = k + n with its cells (t - n, n)
+        sizes = [unit[1] for unit in call["units"]]
         assert sizes == sorted(sizes, reverse=True)
-        chunks = -(-len(call["cells"]) // call["chunksize"])
+        assert sorted((t - n, n) for _, t, ns, *_ in call["units"] for n in ns) == [
+            (k, n) for k in range(7) for n in range(1, 4)
+        ]
+        chunks = -(-len(call["units"]) // call["chunksize"])
         assert chunks <= 4 * call["max_workers"]
         keys = [(r.k, r.n) for r in records]
         assert keys == sorted(keys) and len(keys) == 7 * 3
