@@ -1,11 +1,10 @@
 """Exact Turan expressions for polynomial sequences and weak Hurwitz
 stability certificates, all in rational arithmetic."""
 
-from .polycore import Poly, gcd, squarefree_part
+from .polycore import Poly, gcd
 from .sequences import SequenceSpec, generate, spec, verify_relation
 from .stability import (
     StabilityCertificate,
-    cross_check_oracle,
     interlace_check,
     is_weakly_hurwitz,
     isolate_extreme_roots,
@@ -14,7 +13,6 @@ from .stability import (
     all_roots_real,
 )
 from .expressions import (
-    build_expression,
     extended_laguerre,
     extended_turan,
     fisk_expression,
@@ -27,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Poly",
     "gcd",
-    "squarefree_part",
     "SequenceSpec",
     "spec",
     "generate",
@@ -35,12 +32,10 @@ __all__ = [
     "StabilityCertificate",
     "rotate",
     "is_weakly_hurwitz",
-    "cross_check_oracle",
     "interlace_check",
     "isolate_extreme_roots",
     "nonvanishing_halfplane",
     "all_roots_real",
-    "build_expression",
     "turan",
     "extended_turan",
     "extended_laguerre",

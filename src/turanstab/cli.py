@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import harness, sequences, stability
-from .expressions import build_expression
+from .expressions import extended_turan, reflect_shift
 from .harness import DEFAULT_SEED, CampaignConfig, TIER_LIMITS
 from .polycore import Poly
 from .sequences import SequenceSpec
@@ -85,7 +85,7 @@ def cmd_turan(args) -> int:
     spec = _parse_spec(args)
     seq = sequences.generate(spec, 2 * args.n + args.k)
     shift = _rational("--shift", args.shift or "0")
-    expr = build_expression(seq, args.k, args.n, args.reflect, shift)
+    expr = reflect_shift(extended_turan(seq, args.k, args.n), args.reflect, shift)
     if args.format == "json":
         print(json.dumps({"family": spec.family, "k": args.k, "n": args.n,
                           "coeffs": expr.to_text()}))

@@ -16,10 +16,9 @@ polynomial f is the extended Turan expression of its derivatives (f, f',
 ..., f^(2n)) at k = 0; its n = 1 case is the classical f'^2 - f f''.
 
 ``reflect_shift`` is the one path from an expression to the object a
-campaign cell or the ``turan`` command decides: reflected (x -> -x, used
-for Laguerre) and shifted (x -> x + shift, used for type A with shift
--b) as asked.  ``build_expression`` applies it to one extended Turan
-expression.
+campaign cell, a verification suite or the ``turan`` command decides:
+reflected (x -> -x, used for Laguerre) and shifted (x -> x + shift, used
+for type A with shift -b) as asked.
 """
 
 from __future__ import annotations
@@ -112,17 +111,10 @@ def fisk_expression(f: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:
 
 def reflect_shift(expr: Poly, reflect: bool, shift: Fraction) -> Poly:
     """``reflect`` applies x -> -x to expr; a non-zero ``shift`` then
-    applies x -> x + shift."""
+    applies x -> x + shift.  Both together are one substitution,
+    x -> -x - shift."""
     if reflect:
-        expr = expr.compose_linear(-1, 0)
+        return expr.compose_linear(-1, -shift)
     if shift:
-        expr = expr.compose_linear(1, shift)
+        return expr.compose_linear(1, shift)
     return expr
-
-
-def build_expression(
-    seq: list[Poly], k: int, n: int, reflect: bool, shift: Fraction
-) -> Poly:
-    """Order-n extended Turan expression at index k, reflected and shifted
-    by ``reflect_shift``."""
-    return reflect_shift(extended_turan(seq, k, n), reflect, shift)

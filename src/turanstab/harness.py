@@ -11,7 +11,9 @@ decided with ``stability.is_weakly_hurwitz``.  Every false verdict is
 flagged, whatever the family.  For a family whose stability is proved or
 conjectured a flag would be a counterexample to a published claim; for
 another it may be expected (the Chebyshev T expressions are multiples
-of (1 - x^2)^n, which vanishes at x = 1).
+of (1 - x^2)^n, which vanishes at x = 1).  The suites that decide a
+column of Turan expressions (type A and the polar sequence of Theorem
+1.2, reflected Laguerre, the Jensen probe) run the same grid at n = 1.
 
 Two tiers bound the sweep ranges: desk (k <= 25, n <= 3) is the everyday
 gate, full (k <= 50, n <= 5) reproduces the long verification runs.
@@ -29,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import expressions, sequences, stability
-from .expressions import build_expression, reflect_shift, turan_diagonal
+from .expressions import reflect_shift, turan_diagonal
 from .polycore import Poly, int_horner
 from .sequences import POLAR_SCALED, POLAR_UNIT, SequenceSpec
 from .stability import (
@@ -134,25 +136,33 @@ def _usable_cpus() -> int:
 
 
 def run_campaign(cfg: CampaignConfig) -> list[ReportRecord]:
-    """Stability verdicts over the (k, n) grid, in (k, n) order.
+    """Stability verdicts over the (k, n) grid, in (k, n) order."""
+    seq = sequences.generate(cfg.family, 2 * cfg.n_max + cfg.k_max)
+    return _decide_grid(cfg.family.family, seq, cfg.k_max, cfg.n_max,
+                        cfg.reflect, cfg.shift, cfg.jobs)
+
+
+def _decide_grid(family: str, seq: list[Poly], k_max: int, n_max: int,
+                 reflect: bool, shift: Fraction, jobs: int) -> list[ReportRecord]:
+    """The records of every cell k <= k_max, 1 <= n <= n_max of ``seq``,
+    which must reach index k_max + 2 n_max, in (k, n) order.
 
     The unit of work is one anti-diagonal k + n = t with its window of
     the sequence and its cells, so each product P_{t-i} P_{t+i} is formed
-    once for all of them; workers share only the immutable sequence
-    prefix, and the records are put back in (k, n) order, so they do not
-    depend on ``jobs``.  The pool has at most one worker per diagonal and
-    per CPU this process may run on, however large ``jobs`` is; with one
-    worker the diagonals run in this process.  A pool gets the diagonals
+    once for all of them; a worker gets only the windows of its
+    diagonals, and the records are put back in (k, n) order, so they do
+    not depend on ``jobs``.  The pool has at most one worker per diagonal
+    and per CPU this process may run on, however large ``jobs`` is; with
+    one worker the diagonals run in this process.  A pool gets the diagonals
     heaviest first (largest t, so largest degree 2t) in about four chunks
     per worker: one task per diagonal would cost a round trip each, and a
     long diagonal sent last would leave the other workers idle.
     """
-    seq = sequences.generate(cfg.family, 2 * cfg.n_max + cfg.k_max)
     units = []
-    for t, ns in _diagonals(cfg.k_max, cfg.n_max):
+    for t, ns in _diagonals(k_max, n_max):
         window = seq[t - ns[-1] : t + ns[-1] + 1]
-        units.append((cfg.family.family, t, ns, window, cfg.reflect, cfg.shift))
-    workers = min(cfg.jobs, len(units), _usable_cpus())
+        units.append((family, t, ns, window, reflect, shift))
+    workers = min(jobs, len(units), _usable_cpus())
     if workers == 1:
         per_diagonal = map(_run_diagonal, units)
     else:
@@ -250,11 +260,8 @@ def verify_theorem_1_2(spec_or_seq, k_max: int) -> bool:
         seq = sequences.generate(spec, k_max + 2)
         if spec.family in ("bell", "type_a"):
             b = spec.params[1] if spec.family == "type_a" else 0
-            for k in range(k_max + 1):
-                expr = build_expression(seq, k, 1, False, -b)
-                if not is_weakly_hurwitz(expr).verdict:
-                    return False
-            return True
+            records = _decide_grid(spec.family, seq, k_max, 1, False, -b, 1)
+            return all(r.verdict for r in records)
         if spec.family in ("hermite", "type_h"):
             for k in range(k_max + 1):
                 expr = expressions.turan(seq, k)
@@ -276,10 +283,8 @@ def verify_theorem_1_2(spec_or_seq, k_max: int) -> bool:
         raise ValueError("sequence does not satisfy the downward polar relation")
     if not all(_only_nonpositive_real_roots(p) for p in seq):
         raise ValueError("sequence members must have only non-positive zeros")
-    for k in range(k_max + 1):
-        if not is_weakly_hurwitz(expressions.turan(seq, k)).verdict:
-            return False
-    return True
+    records = _decide_grid("polar_unit", seq, k_max, 1, False, Fraction(0), 1)
+    return all(r.verdict for r in records)
 
 
 def verify_legendre_turan(k_max: int) -> bool:
@@ -344,11 +349,8 @@ def verify_jensen_laguerre_relations(k_max: int, seed: int = DEFAULT_SEED) -> bo
         jens = sequences.jensen(gamma, k_max)
         if not sequences.verify_relation(jens, POLAR_SCALED):
             return False
-    for k in range(k_max + 1):
-        expr = build_expression(lag, k, 1, True, 0)
-        if not is_weakly_hurwitz(expr).verdict:
-            return False
-    return True
+    records = _decide_grid("laguerre", lag, k_max, 1, True, Fraction(0), 1)
+    return all(r.verdict for r in records)
 
 
 def question_probe_jensen(k_max: int) -> list[tuple[int, bool]]:
@@ -362,10 +364,6 @@ def question_probe_jensen(k_max: int) -> list[tuple[int, bool]]:
         for k in range(k_max + 3)
     ]
     seq = sequences.jensen(gamma, k_max + 2)
-    out = []
-    for k in range(k_max + 1):
-        expr = expressions.turan(seq, k)
-        verdict = (not expr.is_zero) and is_weakly_hurwitz(expr).verdict
-        out.append((k, verdict))
-    return out
+    records = _decide_grid("jensen", seq, k_max, 1, False, Fraction(0), 1)
+    return [(r.k, r.verdict) for r in records]
 

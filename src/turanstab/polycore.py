@@ -325,10 +325,3 @@ def gcd(p: Poly, q: Poly) -> Poly:
         if not r:
             return Poly.from_ints(g, g[-1])  # g / lc(g)
         f, g = g, int_primitive(r)
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Monic p / gcd(p, p'): same distinct roots, all simple."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no squarefree part")
-    return p.exact_div(gcd(p, p.derivative())).monic()

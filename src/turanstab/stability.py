@@ -261,12 +261,15 @@ def _routh_data(num: IntPoly):
 # -- real-root machinery ----------------------------------------------
 
 def _sturm_chain(f: Poly) -> list[IntPoly]:
-    """Integer Sturm chain of the squarefree part s of f: s, s', ...
+    """Integer Sturm chain of the squarefree part s = f / gcd(f, f') of f:
+    s, s', ... (s is not made monic: a scale of s scales the whole chain).
 
     V(-inf) - V(+inf) along it is the number of distinct real zeros of f,
     and V(-inf) - V(x) the number at or below x.
     """
-    s = polycore.squarefree_part(f)  # a ValueError for the zero polynomial
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no Sturm chain")
+    s = f.exact_div(polycore.gcd(f, f.derivative()))
     return _int_chain(s.num, s.derivative().num)
 
 

@@ -17,6 +17,13 @@ def is_squarefree(p: Poly) -> bool:
     return polycore.gcd(p, p.derivative()).degree() == 0
 
 
+def squarefree_part(p: Poly) -> Poly:
+    """Monic p / gcd(p, p'): same distinct roots, all simple."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no squarefree part")
+    return p.exact_div(polycore.gcd(p, p.derivative())).monic()
+
+
 # -- Sturm chains as polynomials ---------------------------------------
 
 def euclid_chain(f0: Poly, f1: Poly, strip_content: bool = True) -> list[Poly]:
@@ -52,7 +59,7 @@ class RealRootCounter:
     Fraction arithmetic."""
 
     def __init__(self, f: Poly):
-        self.squarefree = polycore.squarefree_part(f)
+        self.squarefree = squarefree_part(f)
         self.chain = euclid_chain(self.squarefree, self.squarefree.derivative())
 
     def variations_at(self, x) -> int:

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turanstab.expressions import (
-    build_expression,
     extended_laguerre,
     extended_turan,
     fisk_expression,
+    reflect_shift,
     turan,
     turan_diagonal,
     wronskian,
@@ -226,10 +226,14 @@ class TestDerivativeSequence:
 
 
 class TestBuildExpression:
+    """The expression the turan command builds: reflect_shift of an
+    extended Turan expression, one substitution x -> -x - shift against
+    the reflection and the shift applied in turn."""
+
     def test_turan_with_reflect_and_shift(self):
         seq = laguerre(6)
         want = turan(seq, 2).compose_linear(-1, 0).compose_linear(1, F(1, 2))
-        assert build_expression(seq, 2, 1, True, F(1, 2)) == want
+        assert reflect_shift(turan(seq, 2), True, F(1, 2)) == want
 
     def test_extended_turan_with_reflect_and_shift(self):
         seq = laguerre(8)
@@ -238,12 +242,12 @@ class TestBuildExpression:
             .compose_linear(-1, 0)
             .compose_linear(1, F(1, 2))
         )
-        assert build_expression(seq, 2, 2, True, F(1, 2)) == want
+        assert reflect_shift(extended_turan(seq, 2, 2), True, F(1, 2)) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_expression(bell(3), -1, 1, False, F(0))
+            extended_turan(bell(3), -1, 1)
         with pytest.raises(ValueError):
-            build_expression(bell(3), 0, 0, False, F(0))
+            extended_turan(bell(3), 0, 0)
         with pytest.raises(ValueError):
-            build_expression(bell(3), 0, 2, False, F(0))
+            extended_turan(bell(3), 0, 2)

@@ -103,6 +103,32 @@ class TestCampaign:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
+    def test_reflected_and_shifted_cells_match_two_passes(self, tmp_path):
+        # reflect and shift are one substitution x -> -x - shift; each cell
+        # must match reflecting first and shifting second, which here gives
+        # other certificates than the opposite order
+        spec = sequences.spec("type_a", [1, F(1, 2), *range(1, 13)])
+        shift = F(-1, 2)
+        seq = sequences.generate(spec, 3 + 2 * 2)
+        reports = []
+        for jobs in (1, 2):
+            cfg = CampaignConfig(family=spec, k_max=3, n_max=2, reflect=True,
+                                 shift=shift, jobs=jobs)
+            records = run_campaign(cfg)
+            assert len(records) == 8
+            for rec in records:
+                expr = expressions.extended_turan(seq, rec.k, rec.n)
+                want = stability.is_weakly_hurwitz(
+                    expr.compose_linear(-1, 0).compose_linear(1, shift))
+                other = stability.is_weakly_hurwitz(
+                    expr.compose_linear(1, shift).compose_linear(-1, 0))
+                assert (rec.verdict, rec.degree) == (want.verdict, want.degree)
+                assert rec.certificate == want.summary() != other.summary()
+            path = tmp_path / f"report-{jobs}.jsonl"
+            emit_reports(records, path)
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_counterexample_flagging(self, monkeypatch):
         def spoiler(window, t, ns):
             # plant a right-half-plane root to exercise the flag path

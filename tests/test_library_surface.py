@@ -7,7 +7,9 @@ function's references to itself do not count.  Reference implementations
 that only tests call belong in ``tests/oracles.py``.  Likewise every
 defaulted parameter of a public function or method must be set by some
 call there or in the acceptance gate; one that only tests set is a
-constant.
+constant.  And no module but ``__init__.py`` imports a name it never
+reads, so a dead import can neither keep a name referenced nor outlive
+the code that used it.
 """
 
 import ast
@@ -138,3 +140,30 @@ def test_every_defaulted_parameter_is_set_outside_tests():
         if parameter not in passed and None not in passed and not by_position:
             unset.append(qualname)
     assert unset == [], f"defaulted parameters only tests set: {unset}"
+
+
+def _imports_never_read(source: str) -> set:
+    """Names the module source binds by an import and never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert _imports_never_read(
+        "from __future__ import annotations\nimport os.path\nimport json\n"
+        "from .x import y as z, w\n\ndef f():\n    import math\n"
+        "    return json.dumps(z(), math.pi)\n"
+    ) == {"os", "w"}
+    unused = {
+        path.name: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _imports_never_read(path.read_text()))
+    }
+    assert unused == {}, f"imported and never read: {unused}"

@@ -13,10 +13,9 @@ from turanstab.polycore import (
     clear_denominators,
     gcd,
     int_primitive,
-    squarefree_part,
 )
 
-from oracles import is_squarefree
+from oracles import is_squarefree, squarefree_part
 
 X = Poly.x()
 

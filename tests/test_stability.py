@@ -142,6 +142,21 @@ class TestSturm:
     def test_chain_on_constant(self):
         assert RealRootCounter(P(5)).count(None, None) == 0
 
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            all_roots_real(Poly())
+        with pytest.raises(ValueError, match="zero polynomial"):
+            isolate_extreme_roots(Poly(), F(1, 8))
+
+    def test_scale_of_f_changes_nothing(self):
+        # the squarefree part is not made monic: any non-zero scale of f,
+        # negative included, scales its whole chain alike
+        f = P(-1, 1) * P(-1, 1) * P(3, 2) * P(1, 0, 1)
+        for c in (F(-3, 2), -1, F(7, 5)):
+            g = f.scale(c)
+            assert all_roots_real(g) == all_roots_real(f) is False
+            assert isolate_extreme_roots(g, F(1, 64)) == isolate_extreme_roots(f, F(1, 64))
+
     def test_root_bound(self):
         # 2 <= (B/2)^2 first at B = 4
         assert root_bound(P(-2, 0, 1)) == 4
@@ -751,7 +766,8 @@ def _campaign_cells(tier):
         seq = sequences.generate(sequences.spec(family), k_max + 2 * n_max)
         for k in range(k_max + 1):
             for n in range(1, n_max + 1):
-                expr = expressions.build_expression(seq, k, n, reflect, 0)
+                expr = expressions.extended_turan(seq, k, n)
+                expr = expressions.reflect_shift(expr, reflect, 0)
                 yield (family, k, n), expr
 
 
