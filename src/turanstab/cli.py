@@ -172,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family(p):
         p.add_argument("--family", required=True, choices=sequences.FAMILIES)
-        p.add_argument("--params", help="comma-separated family parameters "
-                       "(type_a a,b,c0,...; type_h a,b,c; jensen gamma0,...)")
+        wanted = "; ".join(f"{name} {params}" for name, params
+                           in sequences.FAMILIES.items() if params)
+        p.add_argument("--params", help=f"comma-separated family parameters ({wanted})")
 
     p = sub.add_parser("gen", help="generate family members P_0..P_k")
     add_family(p)

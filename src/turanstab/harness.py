@@ -25,7 +25,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial
@@ -166,6 +165,9 @@ def _decide_grid(family: str, seq: list[Poly], k_max: int, n_max: int,
     if workers == 1:
         per_diagonal = map(_run_diagonal, units)
     else:
+        # imported here: start-up without a pool need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = -(-len(units) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_diagonal = list(pool.map(_run_diagonal, units, chunksize=chunksize))

@@ -1,13 +1,12 @@
 """Generators for the polynomial families.
 
-There are four generators, one per recurrence shape, and each named
-family is an instance of one of them:
+Each named family is an instance of one of three shapes:
 
-* type A:  P_{k+1} = a*(x+b)*(D + c_k) P_k   with a != 0, b >= 0 and a
-  positive non-decreasing coefficient list c.  Bell is a = 1, b = 0 and
-  every c_k = 1.
-* type H:  P_{k+1} = c*(-a*x + b + D) P_k    with a > 0, c != 0.
-  Hermite is (a, b, c) = (2, 0, -1).
+* first order:  P_0 = 1, P_{k+1} = m*(P_k' + l_k*P_k), in two forms:
+  - type A:  m = a*(x+b), l_k = c_k, with a != 0, b >= 0 and a positive
+    non-decreasing list c.  Bell is a = 1, b = 0 and every c_k = 1.
+  - type H:  m = c, l_k = b - a*x, with a > 0, c != 0.  Hermite is
+    (a, b, c) = (2, 0, -1).
 * Jensen:  g_n = sum_k C(n,k) gamma_k x^k for a gamma list.  Laguerre is
   gamma_j = (-1)^j / j!.
 * three-term:  P_0 = 1, P_1 = p1, P_{k+1} = alpha(k)*x*P_k - beta(k)*P_{k-1}.
@@ -18,9 +17,10 @@ The downward "polar" maps (x*D - k) P_k = P_{k-1} and its scaled variant
 (k - x*D) P_k = k * P_{k-1} are verification targets, not generators,
 since they annihilate the top-degree term; ``verify_relation`` checks them.
 
-One table maps each family name to its generator, its parameters and
-the hypotheses above; ``spec`` checks a family's parameters against it
-and ``generate`` runs the generator.
+One table maps each family name to its generator and its parameters;
+``spec`` checks a family's parameter count against it and builds P_0,
+so the generator checks the hypotheses above, and ``generate`` runs the
+generator.
 """
 
 from __future__ import annotations
@@ -104,40 +104,47 @@ def jensen(gamma, k_max: int) -> list[Poly]:
             for n in range(k_max + 1)]
 
 
+def _first_order(m, ell, k_max: int) -> list[Poly]:
+    """P_0 = 1, P_{k+1} = m*(P_k' + ell(k)*P_k); m and each ell(k) are a
+    Poly or a scalar."""
+    seq = [Poly.one()]
+    for k in range(k_max):
+        p = seq[-1]
+        seq.append(m * (p.derivative() + ell(k) * p))
+    return seq
+
+
 def type_a(a, b, c, k_max: int) -> list[Poly]:
     """Type-A sequence P_{k+1} = a*(x+b)*(P_k' + c_k*P_k) from the seed
     P_0 = 1; needs c_0..c_{k_max-1}."""
     a, b = Fraction(a), Fraction(b)
     c = [Fraction(v) for v in c]
     if a == 0:
-        raise ValueError("type A requires a != 0")
+        raise ValueError("type_a requires a != 0")
+    if b < 0:
+        raise ValueError("type_a requires b >= 0")
+    if c and c[0] <= 0:
+        raise ValueError("type_a requires c0 > 0")
+    if any(x > y for x, y in zip(c, c[1:])):
+        raise ValueError("type_a requires a non-decreasing c list")
     if len(c) < k_max:
         raise ValueError(
             f"type_a needs {k_max} c values (c0..c{k_max - 1}), one per step; "
             f"got {len(c)}"
         )
-    x_plus_b = Poly([b, 1])
-    seq = [Poly.one()]
-    for k in range(k_max):
-        p = seq[-1]
-        seq.append((x_plus_b * (p.derivative() + p.scale(c[k]))).scale(a))
-    return seq
+    return _first_order(Poly([a * b, a]), lambda k: c[k], k_max)
 
 
 def type_h(a, b, c, k_max: int) -> list[Poly]:
-    """Type-H sequence P_{k+1} = c*(-a*x*P_k + b*P_k + P_k') from the seed
+    """Type-H sequence P_{k+1} = c*(P_k' + (b - a*x)*P_k) from the seed
     P_0 = 1."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a <= 0:
-        raise ValueError("type H requires a > 0")
+        raise ValueError("type_h requires a > 0")
     if c == 0:
-        raise ValueError("type H requires c != 0")
+        raise ValueError("type_h requires c != 0")
     b_minus_ax = Poly([b, -a])
-    seq = [Poly.one()]
-    for _ in range(k_max):
-        p = seq[-1]
-        seq.append((b_minus_ax * p + p.derivative()).scale(c))
-    return seq
+    return _first_order(c, lambda k: b_minus_ax, k_max)
 
 
 # -- the family table -------------------------------------------------
@@ -148,13 +155,11 @@ class _Family:
 
     ``params`` names them in order; a trailing ``...`` makes the last named
     value the first of a list of one or more, which ``make`` receives as
-    one tuple.  ``rules`` are the theorem hypotheses as (text, test) pairs;
-    a test takes the arguments of ``make`` without ``k_max``.
+    one tuple.  ``make`` checks the family's hypotheses.
     """
 
     params: str
     make: Callable[..., list[Poly]]
-    rules: tuple = ()
 
 
 _TABLE = {
@@ -163,24 +168,17 @@ _TABLE = {
         for f in (bell, hermite, chebyshev_t, chebyshev_u, laguerre, legendre, bessel)
     },
     "jensen": _Family("gamma0,...", jensen),
-    "type_a": _Family("a,b,c0,...", type_a, (
-        ("a != 0", lambda a, b, c: a != 0),
-        ("b >= 0", lambda a, b, c: b >= 0),
-        ("c0 > 0", lambda a, b, c: c[0] > 0),
-        ("a non-decreasing c list",
-         lambda a, b, c: all(x <= y for x, y in zip(c, c[1:]))),
-    )),
-    "type_h": _Family("a,b,c", type_h, (
-        ("a > 0", lambda a, b, c: a > 0),
-        ("c != 0", lambda a, b, c: c != 0),
-    )),
+    "type_a": _Family("a,b,c0,...", type_a),
+    "type_h": _Family("a,b,c", type_h),
 }
 
-FAMILIES = tuple(_TABLE)
+# each family name and the parameters ``--params`` takes for it
+FAMILIES = {name: fam.params for name, fam in _TABLE.items()}
 
 
-def _arguments(family: str, params: tuple) -> tuple:
-    """The generator arguments for ``params``, once the table's checks pass."""
+def _build(family: str, params: tuple, k_max: int) -> list[Poly]:
+    """P_0 .. P_{k_max} of ``family`` at ``params``, once the family is
+    known and the number of parameters fits."""
     if family not in _TABLE:
         raise ValueError(f"unknown family {family!r}")
     fam = _TABLE[family]
@@ -195,10 +193,7 @@ def _arguments(family: str, params: tuple) -> tuple:
     if not count_ok:
         wanted = f"parameters {fam.params}" if fam.params else "no parameters"
         raise ValueError(f"{family} takes {wanted}; got {len(params)}")
-    for text, test in fam.rules:
-        if not test(*args):
-            raise ValueError(f"{family} requires {text}")
-    return args
+    return fam.make(*args, k_max)
 
 
 @dataclass(frozen=True)
@@ -216,7 +211,8 @@ class SequenceSpec:
     params: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        _arguments(self.family, self.params)
+        # building P_0 alone runs the generator's hypothesis checks
+        _build(self.family, self.params, 0)
 
 
 def spec(family: str, params=()) -> SequenceSpec:
@@ -229,7 +225,7 @@ def generate(s: SequenceSpec, k_max: int) -> list[Poly]:
     """P_0 .. P_{k_max} for the described family; exact throughout."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    return _TABLE[s.family].make(*_arguments(s.family, s.params), k_max)
+    return _build(s.family, s.params, k_max)
 
 
 def verify_relation(seq: list[Poly], relation: str) -> bool:

@@ -137,10 +137,8 @@ def rotate(f: Poly) -> tuple[Poly, Poly]:
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    num = clear_denominators(f)
-    re, im = _rotated_parts(num)
-    unit = f.leading / num[-1]  # 1/d for the d that cleared the denominators
-    return Poly(re).scale(unit), Poly(im).scale(unit)
+    re, im = _rotated_parts(clear_denominators(f))
+    return Poly.from_ints(re, f.den), Poly.from_ints(im, f.den)
 
 
 # -- generalized Sturm chains -----------------------------------------
@@ -373,7 +371,7 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
         *_rotated_parts(num)
     )
     gcd_degree = len(g) - 1
-    gcd_all_real = gcd_degree == 0 or all_roots_real(Poly(g))
+    gcd_all_real = gcd_degree == 0 or all_roots_real(Poly.from_ints(g, 1))
     verdict = gcd_all_real and p == degree - gcd_degree
     return StabilityCertificate(
         verdict=verdict,

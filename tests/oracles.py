@@ -24,6 +24,28 @@ def squarefree_part(p: Poly) -> Poly:
     return p.exact_div(polycore.gcd(p, p.derivative())).monic()
 
 
+# -- the type A and type H recurrences, each written out ----------------
+
+def type_a_recurrence(a, b, c, k_max: int) -> list[Poly]:
+    """P_0 = 1, P_{k+1} = a*(x+b)*(P_k' + c_k*P_k), step by step."""
+    x_plus_b = Poly([b, 1])
+    seq = [Poly([1])]
+    for k in range(k_max):
+        p = seq[-1]
+        seq.append((x_plus_b * (p.derivative() + p.scale(c[k]))).scale(a))
+    return seq
+
+
+def type_h_recurrence(a, b, c, k_max: int) -> list[Poly]:
+    """P_0 = 1, P_{k+1} = c*((b - a*x)*P_k + P_k'), step by step."""
+    b_minus_ax = Poly([b, -a])
+    seq = [Poly([1])]
+    for _ in range(k_max):
+        p = seq[-1]
+        seq.append((b_minus_ax * p + p.derivative()).scale(c))
+    return seq
+
+
 # -- Sturm chains as polynomials ---------------------------------------
 
 def euclid_chain(f0: Poly, f1: Poly, strip_content: bool = True) -> list[Poly]:

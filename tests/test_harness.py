@@ -1,7 +1,11 @@
 """Campaign sweeps, JSONL reports and the verification suites."""
 
+import concurrent.futures
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -29,6 +33,7 @@ from turanstab.sequences import POLAR_UNIT
 
 from oracles import is_squarefree, oracle_agreement, random_squarefree_poly
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -55,7 +60,8 @@ def pool_calls(monkeypatch):
             self.call.update(units=units, chunksize=chunksize)
             return map(fn, units)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    # the campaign imports the pool class from here when it makes a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return calls
 
 
@@ -216,6 +222,15 @@ class TestCampaign:
         assert [replace(r, elapsed_ms=0.0) for r in records] == [
             replace(r, elapsed_ms=0.0) for r in in_process
         ]
+
+    def test_start_up_loads_no_process_pool(self):
+        # every command but a campaign with --jobs > 1 runs without a pool
+        code = ("import sys, turanstab.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "False\n", proc.stderr
 
     def test_tier_limits(self):
         with pytest.raises(ValueError):

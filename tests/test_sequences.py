@@ -1,11 +1,13 @@
 """Family generators, the type A/H recurrences and the polar relations."""
 
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from turanstab import stability
+from turanstab.harness import DEFAULT_SEED
 from turanstab.polycore import Poly
 from turanstab.sequences import (
     POLAR_SCALED,
@@ -26,7 +28,7 @@ from turanstab.sequences import (
     verify_relation,
 )
 
-from oracles import RealRootCounter
+from oracles import RealRootCounter, type_a_recurrence, type_h_recurrence
 
 
 def P(*coeffs):
@@ -99,6 +101,17 @@ class TestNamedFamilies:
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS_60[family]
 
 
+# a parameter list that breaks each family hypothesis, and the message
+HYPOTHESES = [
+    ("type_a", [0, 0, 1], "type_a requires a != 0"),
+    ("type_a", [1, -1, 1], "type_a requires b >= 0"),
+    ("type_a", [1, 0, 0], "type_a requires c0 > 0"),
+    ("type_a", [1, 0, 2, 1], "type_a requires a non-decreasing c list"),
+    ("type_h", [0, 0, 1], "type_h requires a > 0"),
+    ("type_h", [2, 0, 0], "type_h requires c != 0"),
+]
+
+
 class TestOperators:
     def test_type_a_bell_step(self):
         assert type_a(1, 0, [1, 1], 2) == [P(1), P(0, 1), P(0, 1, 1)]
@@ -108,7 +121,7 @@ class TestOperators:
 
     def test_type_a_rejects_zero_a(self):
         for k_max in (1, 0):
-            with pytest.raises(ValueError, match="type A requires a != 0"):
+            with pytest.raises(ValueError, match="type_a requires a != 0"):
                 type_a(0, 0, [1] * k_max, k_max)
 
     def test_type_h_hermite_steps(self):
@@ -119,10 +132,36 @@ class TestOperators:
 
     def test_type_h_rejects_bad_params(self):
         for k_max in (1, 0):
-            with pytest.raises(ValueError, match="type H requires a > 0"):
+            with pytest.raises(ValueError, match="type_h requires a > 0"):
                 type_h(-1, 0, 1, k_max)
-            with pytest.raises(ValueError, match="type H requires c != 0"):
+            with pytest.raises(ValueError, match="type_h requires c != 0"):
                 type_h(1, 0, 0, k_max)
+
+    def test_general_parameters_match_the_recurrences(self):
+        rng = random.Random(DEFAULT_SEED)
+
+        def rational(lo, hi):
+            return F(rng.randint(lo, hi), rng.randint(1, 5))
+
+        for _ in range(6):
+            a = rational(1, 9) * rng.choice((-1, 1))
+            b = rational(0, 9)
+            c = sorted(rational(1, 9) for _ in range(8))
+            assert type_a(a, b, c, 8) == type_a_recurrence(a, b, c, 8)
+            a, b = rational(1, 9), rational(-9, 9)
+            c = rational(1, 9) * rng.choice((-1, 1))
+            assert type_h(a, b, c, 8) == type_h_recurrence(a, b, c, 8)
+
+    @pytest.mark.parametrize("family, params, message", HYPOTHESES)
+    def test_spec_and_generator_give_one_message(self, family, params, message):
+        with pytest.raises(ValueError) as from_spec:
+            spec(family, params)
+        with pytest.raises(ValueError) as from_generator:
+            if family == "type_a":
+                type_a(params[0], params[1], params[2:], 1)
+            else:
+                type_h(*params, 1)
+        assert str(from_spec.value) == str(from_generator.value) == message
 
 
 class TestRelations:
@@ -157,13 +196,8 @@ class TestSpec:
 
     def test_invariant_enforcement(self):
         cases = [
-            ("type_a", [0, 0, 1], "type_a requires a != 0"),
-            ("type_a", [1, -1, 1], "type_a requires b >= 0"),
-            ("type_a", [1, 0, 0], "type_a requires c0 > 0"),
-            ("type_a", [1, 0, 2, 1], "type_a requires a non-decreasing c list"),
+            *HYPOTHESES,
             ("type_a", [1, 0], "type_a takes parameters a,b,c0,...; got 2"),
-            ("type_h", [0, 0, 1], "type_h requires a > 0"),
-            ("type_h", [2, 0, 0], "type_h requires c != 0"),
             ("type_h", [2, 0, 1, 1], "type_h takes parameters a,b,c; got 4"),
             ("jensen", [], "jensen takes parameters gamma0,...; got 0"),
             ("bell", [1, 2], "bell takes no parameters; got 2"),
