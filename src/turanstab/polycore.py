@@ -293,12 +293,9 @@ def int_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> tuple[IntPoly, bool]:
     lg = g[-1]
     steps = 0
     while len(r) >= len(g):
-        lf = r[-1]
         d = len(r) - len(g)
-        r = [lg * c for c in r]
-        for i, gc in enumerate(g):
-            r[i + d] -= lf * gc
-        del r[-1]
+        lf = r.pop()  # lg r - lf x^d g, whose top term cancels
+        r = [lg * c for c in r[:d]] + [lg * c - lf * e for c, e in zip(r[d:], g)]
         while r and r[-1] == 0:
             r.pop()
         steps += 1

@@ -22,36 +22,42 @@ The real-line questions (is the gcd real-rooted, where do the extreme
 zeros of a polynomial lie) use the classical Sturm chain of its
 squarefree part instead (``_sturm_chain``).
 
-Fast path.  Write f = x^m h with h(0) != 0 and the leading coefficient of
-h positive.  By the Routh-Hurwitz theorem (Gantmacher, The Theory of
+Fast path.  Write f = x^m h with h(0) != 0 and the leading coefficient
+of h positive.  By the Routh-Hurwitz theorem (Gantmacher, The Theory of
 Matrices II, ch. XV), h is strictly Hurwitz stable iff all deg h + 1
-entries of the first column of its Routh array are positive.  For h with
-positive coefficients that passes the gate below, ``_routh_data`` runs
-the fraction-free Routh recurrence in integer intervals: rows stay exact
-until one exceeds P = 8 (deg h + 1) bits, then each row is shifted right
-to P bits, lower bounds floored and upper bounds ceiled.  A positive
-scale of a row changes no sign, so positive lower bounds certify h.
-The certificate then has a closed form: the rotated parts of h are
-coprime and their chain is normal, of length deg h + 1, so p = deg h;
-since V(+-inf) <= deg h, 2p = deg h + V(+inf) - V(-inf) forces
-V(+inf) = deg h and V(-inf) = 0, and the factor x^m multiplies every
-chain element, so the gcd is x^m.  Any doubt (a lower bound <= 0, a
-coefficient <= 0, an h outside the gate) falls through to the exact
-chain.
+entries of the first column of its Routh array are positive.  Then all
+entries are: two consecutive rows hold the even and odd coefficients of
+a Routh-reduced polynomial, again strictly stable.  For h with positive
+coefficients that passes the gate below, ``_routh_rows`` runs the
+fraction-free Routh recurrence on intervals [lo, hi] 2^e, each entry
+with its own exponent e, since the entries of a row span up to about 200
+bits, and P = 5 (deg h + 1) mantissa bits, lo floored and hi ceiled.
+With positive entries a product is bounded by lo lo and hi hi, and a row
+is known up to a positive scale, so positive lower bounds certify h.  An
+upper bound <= 0 proves h not strictly stable; a straddle of 0 runs the
+test once more at 2P bits.  The certificate then has a closed form: the
+rotated parts of h are coprime and their chain is normal, of length
+deg h + 1, so p = deg h; since V(+-inf) <= deg h,
+2p = deg h + V(+inf) - V(-inf) forces V(+inf) = deg h and V(-inf) = 0,
+and the factor x^m multiplies every chain element, so the gcd is x^m.
+Any doubt (an entry <= 0, a straddle at 2P, a coefficient <= 0, an h
+outside the gate) falls through to the exact chain.
 
 The gate.  The test is tried for deg h >= 32, and for 2 <= deg h < 32
-when the primitive part of h has a coefficient at least P bits wide, so
-a large constant factor does not let an input in.  At degree 32-48 a
-failed attempt adds about 12% to the exact chain and at degree 96 about
-4%, because the chain's coefficients grow with the degree and the
-interval rows do not; below degree 32 a narrow input would pay 30-50%,
-and where the chain stays small (an axis pair times small linear
-factors) as much again as the chain.  A wide input is the other way
-round: the chain carries its full width from the first step, the rows
-only P bits.  The shifted Hermite windows of ``verify --suite thm12``
-(degree <= 24, up to 938 bits) cost about 14 times less than on the
-chain, and a failed attempt on a wide input of degree 8-20 costs 0.2-0.7
-of the chain.
+when the primitive part of h has a coefficient at least 8 (deg h + 1)
+bits wide (a threshold of its own, not P), so a large constant factor
+does not let an input in.  A failed attempt on a zero pair just right of
+the axis adds 6-12% to the exact chain at degree 32-48 and 3-6% at
+degree 96, since the chain's coefficients grow with the degree and the
+rows do not.  An axis pair leaves a row of zeros that straddles at both
+precisions: times small linear factors, where the chain stays small, the
+attempt costs 2.5-4 times the chain.  Below degree 32 a narrow input
+would pay 27-37% and 1.5-2.5 times on the same two inputs.  A wide input
+is the other way round: the chain carries its full width from the first
+step, the rows only P bits.  The shifted Hermite windows of ``verify
+--suite thm12`` (degree <= 24, up to 938 bits) cost about 8 times less
+than on the chain, and a failed attempt on a wide input of degree 8-20
+costs 0.2-0.7 of the chain (1.2-1.5 times on an axis pair).
 
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
@@ -173,15 +179,15 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(run, run[1:]) if a != b)
 
 
-def _end_variations(chain: list[IntPoly], direction: int) -> int:
-    # sign at +-inf is sign(lc) * direction^deg; no evaluation needed
-    signs = []
-    for f in chain:
-        s = _sign(f[-1])
-        if direction < 0 and (len(f) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
+def _end_variations(chain: list[IntPoly]) -> tuple[int, int]:
+    """V(+inf), V(-inf) of a chain with no zero element, off the leading
+    signs (at -inf an element of degree d has the sign of lc (-1)^d)."""
+    v_plus = v_minus = 0
+    for f, g in zip(chain, chain[1:]):
+        change = (f[-1] > 0) != (g[-1] > 0)
+        v_plus += change
+        v_minus += change != ((len(f) - len(g)) % 2 == 1)
+    return v_plus, v_minus
 
 
 # -- the half-plane counter -------------------------------------------
@@ -197,8 +203,7 @@ def _halfplane_data(re: IntPoly, im: IntPoly):
     """
     chain = _int_chain(re, im)
     g = chain[-1]
-    v_plus = _end_variations(chain, +1)
-    v_minus = _end_variations(chain, -1)
+    v_plus, v_minus = _end_variations(chain)
     dq = len(re) - len(g)
     twice_p = dq + v_plus - v_minus
     if twice_p % 2 != 0 or not (0 <= twice_p // 2 <= dq):
@@ -214,46 +219,66 @@ def _halfplane_data(re: IntPoly, im: IntPoly):
 _ROUTH_MIN_DEGREE = 32
 
 
+def _routh_rows(h: IntPoly, bits: int) -> Optional[bool]:
+    """The interval Routh test of h (every coefficient positive) with
+    ``bits`` mantissa bits per entry: True when every entry is certainly
+    positive, False when one is certainly <= 0, None when one straddles 0.
+    """
+
+    def rounded(lo, hi, e):  # [lo, hi] 2^e, 0 < lo <= hi: floor lo, ceil hi
+        s = hi.bit_length() - bits
+        return (lo >> s, -(-hi >> s), e + s) if s > 0 else (lo, hi, e)
+
+    prev = [rounded(c, c, 0) for c in h[::-2]]
+    row = [rounded(c, c, 0) for c in h[-2::-2]]
+    for _ in range(len(h) - 2):
+        # r_{k+1}[j] = a r_{k-1}[j+1] - c r_k[j+1] with a = r_k[0] and
+        # c = r_{k-1}[0]; every entry is positive, so bounds pair lo with lo
+        (a_lo, a_hi, a_e), (c_lo, c_hi, c_e) = row[0], prev[0]
+        new = []
+        for j in range(1, len(prev)):
+            b_lo, b_hi, b_e = prev[j]
+            lo, hi, e = a_lo * b_lo, a_hi * b_hi, a_e + b_e
+            if j < len(row):  # past the end of row the entry is a b alone
+                f_lo, f_hi, f_e = row[j]
+                g_lo, g_hi, g_e = c_lo * f_lo, c_hi * f_hi, c_e + f_e
+                if e > g_e:  # align on the smaller exponent, exactly
+                    lo, hi, e = lo << e - g_e, hi << e - g_e, g_e
+                else:
+                    g_lo, g_hi = g_lo << g_e - e, g_hi << g_e - e
+                lo, hi = lo - g_hi, hi - g_lo
+            if lo <= 0:
+                return None if hi > 0 else False
+            new.append(rounded(lo, hi, e))
+        prev, row = row, new
+    return True
+
+
 def _routh_data(num: IntPoly):
     """``_halfplane_data`` of the rotated parts of num, in closed form,
-    when the interval Routh test certifies num / x^m strictly Hurwitz
-    stable; None when it does not try or does not certify.
+    when the interval Routh test (5 (deg h + 1) mantissa bits, twice that
+    after a straddle) certifies num / x^m strictly Hurwitz stable; None
+    when it does not try or does not certify.
     """
     m = 0 if num[0] else next(i for i, c in enumerate(num) if c)
     d = len(num) - 1 - m
     if d < 2:
         return None
-    bits = 8 * (d + 1)
     if d < _ROUTH_MIN_DEGREE:
         # the width of h's primitive part, where every coefficient of h is
         # positive (else the sign test below refuses); the gcd only for a
         # wide h, since the primitive part is never wider than h
+        width = 8 * (d + 1)
         top = max(num) if num[-1] > 0 else -min(num)
-        if top.bit_length() < bits or (top // math.gcd(*num)).bit_length() < bits:
+        if top.bit_length() < width or (top // math.gcd(*num)).bit_length() < width:
             return None
     h = num[m:] if num[-1] > 0 else [-c for c in num[m:]]
     if min(h) <= 0:
         return None
-    # rows as (lower, upper) bound lists; a row is exact while they agree
-    prev, row = (h[d::-2],) * 2, (h[d - 1 :: -2],) * 2
-    for _ in range(d - 1):
-        c1, c2, a1, a2 = prev[0][0], prev[1][0], row[0][0], row[1][0]
-        lo, hi = [], []
-        # r_{k+1}[j] = r_k[0] r_{k-1}[j+1] - r_{k-1}[0] r_k[j+1], where
-        # a = r_k[0] and c = r_{k-1}[0] are positive intervals
-        for j in range(1, len(prev[0])):
-            b1, b2 = prev[0][j], prev[1][j]
-            e1, e2 = (row[0][j], row[1][j]) if j < len(row[0]) else (0, 0)
-            lo.append((a1 if b1 >= 0 else a2) * b1 - (c2 if e2 >= 0 else c1) * e2)
-            hi.append((a2 if b2 >= 0 else a1) * b2 - (c1 if e1 >= 0 else c2) * e1)
-        shift = max(max(hi), -min(lo)).bit_length() - bits  # lo <= hi
-        if shift > 0:
-            lo = [v >> shift for v in lo]
-            hi = [-(-v >> shift) for v in hi]
-        if lo[0] <= 0:
-            return None
-        prev, row = row, (lo, hi)
-    return d, [0] * m + [1], d + 1, d, 0
+    certified = _routh_rows(h, 5 * (d + 1))
+    if certified is None:  # a straddle: once more at twice the bits
+        certified = _routh_rows(h, 10 * (d + 1))
+    return (d, [0] * m + [1], d + 1, d, 0) if certified else None
 
 
 # -- real-root machinery ----------------------------------------------
@@ -274,8 +299,8 @@ def _sturm_chain(f: Poly) -> list[IntPoly]:
 def all_roots_real(f: Poly) -> bool:
     """True iff every zero of f is real (multiplicities collapse first)."""
     chain = _sturm_chain(f)
-    real = _end_variations(chain, -1) - _end_variations(chain, +1)
-    return real == len(chain[0]) - 1
+    v_plus, v_minus = _end_variations(chain)
+    return v_minus - v_plus == len(chain[0]) - 1
 
 
 def _root_bound(f: IntPoly) -> int:
@@ -311,8 +336,8 @@ def isolate_extreme_roots(
     if tol <= 0:
         raise ValueError("tol must be positive")
     chain = _sturm_chain(f)
-    v_minus = _end_variations(chain, -1)
-    r = v_minus - _end_variations(chain, +1)
+    v_plus, v_minus = _end_variations(chain)
+    r = v_minus - v_plus
     if r == 0:
         raise ValueError("polynomial has no real roots")
     bound = Fraction(_root_bound(chain[0]))
@@ -349,8 +374,9 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     count must exhaust its degree.  A strictly stable h = f / x^m with
     positive coefficients, of degree >= 32 or of degree 2-31 with a
     primitive part at least 8 (deg h + 1) bits wide, is certified by the
-    interval Routh test instead of the chain, with the same certificate
-    (module docstring).
+    interval Routh test instead of the chain, with the same certificate:
+    5 (deg h + 1) mantissa bits per entry, and twice that after a
+    straddle (module docstring).
     """
     if f.is_zero:
         raise ValueError("zero polynomial")

@@ -931,3 +931,107 @@ def test_routh_does_not_try(f):
 def test_routh_certifies_at_the_gate():
     fast, exact = _both_paths(_BASE * P(0, 0, -3))
     assert fast == exact == (32, P(0, 0, 1), 33, 32, 0)
+
+
+def _stripped(f):
+    """(m, h) for the numerators of f = x^m h, h with a positive leading
+    coefficient: the input of the interval Routh kernel."""
+    num = polycore.clear_denominators(f)
+    m = next(i for i, c in enumerate(num) if c)
+    return m, num[m:] if num[-1] > 0 else [-c for c in num[m:]]
+
+
+def _closed_form(f):
+    """The certificate of f = x^m h with h strictly stable, gcd monic."""
+    m, h = _stripped(f)
+    d = len(h) - 1
+    return d, P(*[0] * m, 1), d + 1, d, 0
+
+
+def _deep_cell(family, reflect, k, n):
+    seq = sequences.generate(sequences.spec(family), k + 2 * n)
+    return expressions.reflect_shift(expressions.extended_turan(seq, k, n), reflect, 0)
+
+
+def test_routh_certifies_a_deep_reflected_laguerre_cell():
+    # its Routh rows span about 200 bits, which rows sharing one shift
+    # could not resolve at 8 (deg h + 1) bits
+    f = _deep_cell("laguerre", True, 54, 10)
+    fast, exact = _both_paths(f)
+    assert fast == exact == _closed_form(f)
+
+
+def test_routh_retries_a_straddle_at_twice_the_bits():
+    f = _deep_cell("bessel", False, 100, 1)
+    assert f.degree() == 202
+    _, h = _stripped(f)
+    assert stability._routh_rows(h, 5 * len(h)) is None
+    assert stability._routh_rows(h, 10 * len(h)) is True
+    cert = is_weakly_hurwitz(f)
+    assert cert.verdict
+    assert (cert.p_upper, P(*[0] * cert.gcd_degree, 1), cert.chain_length,
+            cert.v_plus, cert.v_minus) == _closed_form(f)
+
+
+def test_routh_refuses_a_certain_sign_without_a_retry(monkeypatch):
+    # zeros 1/8 +- i and -1..-38: the interval rows prove a sign change
+    f = _product("linear", range(-38, 0), 1) * _factor("pair", F(1, 8), 1)
+    _, h = _stripped(f)
+    assert len(h) == 41 and min(h) > 0  # the interval test runs
+    kernel, calls = stability._routh_rows, []
+    monkeypatch.setattr(stability, "_routh_rows",
+                        lambda h, bits: calls.append(bits) or kernel(h, bits))
+    assert stability._routh_data(h) is None
+    assert calls == [5 * 41]
+    assert not is_weakly_hurwitz(f).verdict
+
+
+def test_routh_refuses_on_any_entry_of_a_row():
+    # rows [24, 17, 30] and [11, 4, 20]: the next row's second entry,
+    # 11*30 - 24*20, is certainly negative even at 2 bits, two rows before
+    # the first column turns negative where 2 bits cannot tell its sign
+    h = [20, 30, 4, 17, 11, 24]
+    assert stability._routh_rows(h, 2) is False
+    assert stability._routh_rows(h, 64) is False
+
+
+def _spread(scale, a):
+    return a * F(2) ** scale
+
+
+@st.composite
+def _spread_stable(draw):
+    """c x^m prod(linear) prod(quadratic) of degree 32..120, strictly stable
+    apart from x^m, whose zeros have moduli spread over 2^-20..2^20."""
+    scales = st.integers(min_value=-20, max_value=20)
+    degree = draw(st.integers(min_value=32, max_value=120))
+    pairs = draw(st.lists(st.tuples(scales, _positive, _positive), max_size=degree // 2))
+    roots = draw(st.lists(st.tuples(scales, _positive), min_size=degree - 2 * len(pairs),
+                          max_size=degree - 2 * len(pairs)))
+    f = _product("linear", [-_spread(*r) for r in roots], 1)
+    for s, a, b in pairs:
+        f = f * _factor("pair", -_spread(s, a), _spread(s, b))
+    m = draw(st.integers(min_value=0, max_value=5))
+    return f * P(*[0] * m, draw(_nonzero))
+
+
+@settings(max_examples=15, deadline=None)
+@given(f=_spread_stable(), bits=st.integers(min_value=1, max_value=400))
+def test_routh_certifies_spread_stable_products(f, bits):
+    # past degree 60 the exact chain takes seconds at these widths, so the
+    # draw is held to the certificate the chain gives every strictly
+    # stable input (test_routh_matches_exact_chain_on_stable_products)
+    fast = stability._routh_data(polycore.clear_denominators(f))
+    assert fast is not None and _monic_gcd(fast) == _closed_form(f)
+    # and at no precision does the kernel call a stable h unstable
+    assert stability._routh_rows(_stripped(f)[1], bits) is not False
+
+
+@pytest.mark.parametrize("factor", [
+    _factor("axis", 0, 3), _factor("axis", 0, F(1, 3)),
+    _factor("pair", F(1, 2**40), 1), _factor("pair", F(1, 2**40), 3),
+], ids=["axis-3", "axis-1/3", "hair-1", "hair-3"])
+def test_routh_certifies_no_unstable_input_at_any_precision(factor):
+    _, h = _stripped(_BASE * factor)
+    assert min(h) > 0  # the interval test runs
+    assert all(stability._routh_rows(h, bits) is not True for bits in range(1, 300))
