@@ -205,8 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", default=None)
     p.add_argument("--tier", choices=tuple(TIER_LIMITS), default="desk")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per cell and per CPU "
-                        "this process may run on; 1 runs in-process")
+                   help="workers, at most one per diagonal and per CPU this "
+                        "process may run on: this process and a forked child "
+                        "for each other one; 1, or a platform without fork, "
+                        "runs in-process")
     p.add_argument("--timing", action="store_true",
                    help="include per-cell timings (report no longer byte-stable)")
     p.add_argument("--out", required=True)

@@ -7,7 +7,10 @@ the products P_{t-i} P_{t+i}, so ``expressions.turan_diagonal`` builds
 all their expressions at once from the window P_{t-top} .. P_{t+top}
 (top the largest n on the diagonal).  Each expression is then reflected
 and shifted by ``expressions.reflect_shift`` as the campaign asks and
-decided with ``stability.is_weakly_hurwitz``.  Every false verdict is
+decided with ``stability.is_weakly_hurwitz``.  With ``jobs`` > 1 the
+diagonals are dealt into shares: the calling process decides the first
+and one forked child each other share, joined before the campaign
+returns, so no worker outlives the call.  Every false verdict is
 flagged, whatever the family.  For a family whose stability is proved or
 conjectured a flag would be a counterexample to a published claim; for
 another it may be expected (the Chebyshev T expressions are multiples
@@ -148,31 +151,93 @@ def _decide_grid(family: str, seq: list[Poly], k_max: int, n_max: int,
 
     The unit of work is one anti-diagonal k + n = t with its window of
     the sequence and its cells, so each product P_{t-i} P_{t+i} is formed
-    once for all of them; a worker gets only the windows of its
-    diagonals, and the records are put back in (k, n) order, so they do
-    not depend on ``jobs``.  The pool has at most one worker per diagonal
-    and per CPU this process may run on, however large ``jobs`` is; with
-    one worker the diagonals run in this process.  A pool gets the diagonals
-    heaviest first (largest t, so largest degree 2t) in about four chunks
-    per worker: one task per diagonal would cost a round trip each, and a
-    long diagonal sent last would leave the other workers idle.
+    once for all of them.  The diagonals are dealt heaviest first (largest
+    t, so largest degree 2t) into one share per worker: at most ``jobs``,
+    one per diagonal and one per CPU this process may run on, and one
+    where the platform cannot fork.  This process decides share 0 and a
+    forked child each other share (``_decide_shares``).  The records are
+    put back in (k, n) order, so they do not depend on ``jobs``.
     """
     units = []
     for t, ns in _diagonals(k_max, n_max):
         window = seq[t - ns[-1] : t + ns[-1] + 1]
         units.append((family, t, ns, window, reflect, shift))
-    workers = min(jobs, len(units), _usable_cpus())
-    if workers == 1:
-        per_diagonal = map(_run_diagonal, units)
-    else:
-        # imported here: start-up without a pool need not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunksize = -(-len(units) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_diagonal = list(pool.map(_run_diagonal, units, chunksize=chunksize))
-    records = [rec for recs in per_diagonal for rec in recs]
+    workers = min(jobs, len(units), _usable_cpus()) if hasattr(os, "fork") else 1
+    records = _decide_shares(_deal(units, workers))
     return sorted(records, key=ReportRecord.sort_key)
+
+
+def _deal(units: list, workers: int) -> list[list]:
+    """``units`` dealt into ``workers`` shares in snake order (with two:
+    0, 1, 1, 0, 0, 1, ...), so with the units heaviest first each share
+    gets a heavy and a light one in turn."""
+    shares = [[] for _ in range(workers)]
+    for i, unit in enumerate(units):
+        lap, seat = divmod(i, workers)
+        shares[seat if lap % 2 == 0 else workers - 1 - seat].append(unit)
+    return shares
+
+
+def _decide_shares(shares: list[list]) -> list[ReportRecord]:
+    """The records of every share's diagonals.  Share 0 runs in this
+    process and each other share in a child forked for it, which inherits
+    its diagonals, so no input is pickled.  A child pickles its records,
+    or the exception it raised, to a pipe and always leaves through
+    ``os._exit``, so it never returns into the caller.  A fork copies only
+    the calling thread, and a child runs only the verdict code and pickle,
+    which take no lock another thread could hold.  This process reads
+    every pipe, then reaps every child; if its own share raised or it was
+    interrupted it kills the children first.  A child's exception is
+    raised again here.
+    """
+    # imported here: start-up, which runs no campaign, need not load them
+    import pickle
+    import signal
+
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        try:
+                            outcome = True, _run_share(share)
+                        except BaseException as exc:
+                            outcome = False, exc
+                        with os.fdopen(write_fd, "wb") as pipe:
+                            pickle.dump(outcome, pipe)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        records = _run_share(shares[0])
+        payloads = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for payload, code in zip(payloads, codes):
+        if code != 0:  # killed, say, before it had sent a whole payload
+            raise RuntimeError(f"a campaign worker ended with exit code {code}")
+        ok, result = pickle.loads(payload)
+        if not ok:
+            raise result
+        records += result
+    return records
+
+
+def _run_share(share: list) -> list[ReportRecord]:
+    return [rec for unit in share for rec in _run_diagonal(unit)]
 
 
 def emit_reports(records: list[ReportRecord], path, with_timing: bool = False) -> None:

@@ -35,12 +35,14 @@ bits, and P = 5 (deg h + 1) mantissa bits, lo floored and hi ceiled.
 With positive entries a product is bounded by lo lo and hi hi, and a row
 is known up to a positive scale, so positive lower bounds certify h.  An
 upper bound <= 0 proves h not strictly stable; a straddle of 0 runs the
-test once more at 2P bits.  The certificate then has a closed form: the
+test once more at P' = 6 (deg h + 1) bits, which certifies every deep
+cell (k <= 100, n <= 10) of Bell, reflected Laguerre and Bessel that a
+retry at 2P does.  The certificate then has a closed form: the
 rotated parts of h are coprime and their chain is normal, of length
 deg h + 1, so p = deg h; since V(+-inf) <= deg h,
 2p = deg h + V(+inf) - V(-inf) forces V(+inf) = deg h and V(-inf) = 0,
 and the factor x^m multiplies every chain element, so the gcd is x^m.
-Any doubt (an entry <= 0, a straddle at 2P, a coefficient <= 0, an h
+Any doubt (an entry <= 0, a straddle at P', a coefficient <= 0, an h
 outside the gate) falls through to the exact chain.
 
 The gate.  The test is tried for deg h >= 32, and for 2 <= deg h < 32
@@ -51,13 +53,13 @@ the axis adds 6-12% to the exact chain at degree 32-48 and 3-6% at
 degree 96, since the chain's coefficients grow with the degree and the
 rows do not.  An axis pair leaves a row of zeros that straddles at both
 precisions: times small linear factors, where the chain stays small, the
-attempt costs 2.5-4 times the chain.  Below degree 32 a narrow input
+attempt costs 2-4 times the chain.  Below degree 32 a narrow input
 would pay 27-37% and 1.5-2.5 times on the same two inputs.  A wide input
 is the other way round: the chain carries its full width from the first
 step, the rows only P bits.  The shifted Hermite windows of ``verify
 --suite thm12`` (degree <= 24, up to 938 bits) cost about 8 times less
 than on the chain, and a failed attempt on a wide input of degree 8-20
-costs 0.2-0.7 of the chain (1.2-1.5 times on an axis pair).
+costs 0.2-0.7 of the chain (0.8-1.4 times on an axis pair).
 
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
@@ -256,7 +258,7 @@ def _routh_rows(h: IntPoly, bits: int) -> Optional[bool]:
 
 def _routh_data(num: IntPoly):
     """``_halfplane_data`` of the rotated parts of num, in closed form,
-    when the interval Routh test (5 (deg h + 1) mantissa bits, twice that
+    when the interval Routh test (5 (deg h + 1) mantissa bits, 6 (deg h + 1)
     after a straddle) certifies num / x^m strictly Hurwitz stable; None
     when it does not try or does not certify.
     """
@@ -276,8 +278,8 @@ def _routh_data(num: IntPoly):
     if min(h) <= 0:
         return None
     certified = _routh_rows(h, 5 * (d + 1))
-    if certified is None:  # a straddle: once more at twice the bits
-        certified = _routh_rows(h, 10 * (d + 1))
+    if certified is None:  # a straddle: once more at a few more bits
+        certified = _routh_rows(h, 6 * (d + 1))
     return (d, [0] * m + [1], d + 1, d, 0) if certified else None
 
 
@@ -375,7 +377,7 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     positive coefficients, of degree >= 32 or of degree 2-31 with a
     primitive part at least 8 (deg h + 1) bits wide, is certified by the
     interval Routh test instead of the chain, with the same certificate:
-    5 (deg h + 1) mantissa bits per entry, and twice that after a
+    5 (deg h + 1) mantissa bits per entry, and 6 (deg h + 1) after a
     straddle (module docstring).
     """
     if f.is_zero:

@@ -1,11 +1,11 @@
 """Campaign sweeps, JSONL reports and the verification suites."""
 
-import concurrent.futures
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -38,31 +38,34 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
-def pool_calls(monkeypatch):
-    """Stand in for the campaign's process pool in this process, so no
-    worker process is ever started; each pool records its worker count and
-    the diagonal units and chunk size given to ``map``."""
-    calls = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.call = {"max_workers": max_workers}
-            calls.append(self.call)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            units = list(iterable)
-            self.call.update(units=units, chunksize=chunksize)
-            return map(fn, units)
-
-    # the campaign imports the pool class from here when it makes a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+def forks(monkeypatch):
+    """Count the campaign's ``os.fork`` calls; the children are real."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(harness.os, "fork", lambda: calls.append(1) or fork())
     return calls
+
+
+class SpoiledDiagonal(Exception):
+    pass
+
+
+def spoil_diagonals(monkeypatch, here=None, in_child=None):
+    """Call ``here`` with the cells of every diagonal this process builds,
+    and ``in_child`` with those of every diagonal a forked child builds."""
+    parent, build = os.getpid(), harness.turan_diagonal
+
+    def spoiled(window, top, ns):
+        action = here if os.getpid() == parent else in_child
+        if action is not None:
+            action(ns)
+        return build(window, top, ns)
+
+    monkeypatch.setattr(harness, "turan_diagonal", spoiled)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def set_cpus(monkeypatch, affinity, cpus):
@@ -186,51 +189,103 @@ class TestCampaign:
         pytest.param(8, 8, 3, id="8-3"),
         pytest.param(2, 2, 2, id="2-2"),
         # a platform without affinity masks that cannot count its CPUs
-        pytest.param(None, None, None, id="None-None"),
+        pytest.param(None, None, 1, id="None-None"),
         # pinned to one of eight CPUs, as under taskset -c 0
-        pytest.param(1, 8, None, id="1of8-None"),
+        pytest.param(1, 8, 1, id="1of8-None"),
     ])
     def test_pool_has_one_worker_per_cell_and_cpu_at_most(
-        self, monkeypatch, pool_calls, affinity, cpus, workers
+        self, monkeypatch, forks, affinity, cpus, workers
     ):
         set_cpus(monkeypatch, affinity, cpus)
         records = run_campaign(bell_cfg(k_max=1, n_max=2, jobs=1_000_000))
         # four cells on the three diagonals k + n = 1, 2, 3, so three units;
-        # one worker runs them in this process, without a pool
-        assert [c["max_workers"] for c in pool_calls] == ([workers] if workers else [])
+        # this process is one worker, and each other worker a forked child
+        assert len(forks) == workers - 1
         assert [(r.k, r.n, r.verdict) for r in records] == [
             (0, 1, True), (0, 2, True), (1, 1, True), (1, 2, True),
         ]
+        assert_no_child_left()
 
-    def test_pool_gets_heaviest_cells_first_in_few_chunks(
-        self, monkeypatch, pool_calls
+    def test_deal_snakes_heaviest_first(self):
+        assert harness._deal(list("abcdefg"), 2) == [list("ade"), list("bcfg")]
+        assert harness._deal(list("abcdefg"), 3) == [list("afg"), list("be"), list("cd")]
+        assert harness._deal(list("ab"), 1) == [list("ab")]
+
+    def test_shares_get_heaviest_diagonals_first_and_every_cell_once(
+        self, monkeypatch, forks
     ):
         set_cpus(monkeypatch, 2, 2)
+        dealt, deal = [], harness._deal
+        monkeypatch.setattr(harness, "_deal",
+                            lambda units, workers: dealt.append(deal(units, workers)) or dealt[-1])
         records = run_campaign(bell_cfg(k_max=6, n_max=3, jobs=2))
-        [call] = pool_calls
-        # a unit is one diagonal t = k + n with its cells (t - n, n)
-        sizes = [unit[1] for unit in call["units"]]
-        assert sizes == sorted(sizes, reverse=True)
-        assert sorted((t - n, n) for _, t, ns, *_ in call["units"] for n in ns) == [
-            (k, n) for k in range(7) for n in range(1, 4)
+        [shares] = dealt
+        assert len(shares) == 2 and len(forks) == 1
+        # a unit is one diagonal t = k + n with its cells (t - n, n); the
+        # shares take the diagonals t = 9, 8, ..., 1 in turn 0, 1, 1, 0, ...
+        assert [[unit[1] for unit in share] for share in shares] == [
+            [9, 6, 5, 2, 1], [8, 7, 4, 3],
         ]
-        chunks = -(-len(call["units"]) // call["chunksize"])
-        assert chunks <= 4 * call["max_workers"]
+        cells = [(t - n, n) for share in shares for _, t, ns, *_ in share for n in ns]
+        assert sorted(cells) == [(k, n) for k in range(7) for n in range(1, 4)]
         keys = [(r.k, r.n) for r in records]
         assert keys == sorted(keys) and len(keys) == 7 * 3
         in_process = run_campaign(bell_cfg(k_max=6, n_max=3, jobs=1))
         assert [replace(r, elapsed_ms=0.0) for r in records] == [
             replace(r, elapsed_ms=0.0) for r in in_process
         ]
+        assert_no_child_left()
 
-    def test_start_up_loads_no_process_pool(self):
-        # every command but a campaign with --jobs > 1 runs without a pool
+    def test_platform_without_fork_runs_in_process(self, monkeypatch):
+        set_cpus(monkeypatch, 2, 2)
+        in_process = run_campaign(bell_cfg(k_max=6, n_max=3, jobs=1))
+        monkeypatch.delattr(harness.os, "fork")
+        records = run_campaign(bell_cfg(k_max=6, n_max=3, jobs=2))
+        assert [replace(r, elapsed_ms=0.0) for r in records] == [
+            replace(r, elapsed_ms=0.0) for r in in_process
+        ]
+
+    def test_a_child_exception_is_raised_again_here(self, monkeypatch, forks):
+        set_cpus(monkeypatch, 2, 2)
+
+        def fail(ns):
+            raise SpoiledDiagonal(f"diagonal with n in {ns}")
+
+        spoil_diagonals(monkeypatch, in_child=fail)
+        with pytest.raises(SpoiledDiagonal) as info:
+            run_campaign(bell_cfg(k_max=6, n_max=3, jobs=2))
+        # the child's first diagonal is t = 8, with the cells n = 2, 3
+        assert type(info.value) is SpoiledDiagonal
+        assert str(info.value) == "diagonal with n in (2, 3)"
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_failing_share_here_kills_the_children(self, monkeypatch, forks):
+        set_cpus(monkeypatch, 2, 2)
+
+        def fail(ns):
+            raise SpoiledDiagonal("this process's share")
+
+        # a child that would hang for a minute must be killed, not awaited
+        spoil_diagonals(monkeypatch, here=fail, in_child=lambda ns: time.sleep(60))
+        start = time.monotonic()
+        with pytest.raises(SpoiledDiagonal, match="^this process's share$"):
+            run_campaign(bell_cfg(k_max=6, n_max=3, jobs=2))
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_start_up_loads_no_process_pool(self, tmp_path):
+        # the workers are forked children: neither import nor a campaign at
+        # --jobs 2 loads a process pool
         code = ("import sys, turanstab.cli; "
-                "print('concurrent.futures.process' in sys.modules)")
+                "turanstab.cli.main(['campaign', '--family', 'bell', '--k-max', '3', "
+                "'--jobs', '2', '--out', sys.argv[1]]); "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.stdout == "False\n", proc.stderr
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.jsonl")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1:] == ["[]"], proc.stderr
 
     def test_tier_limits(self):
         with pytest.raises(ValueError):

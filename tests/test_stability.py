@@ -961,13 +961,17 @@ def test_routh_certifies_a_deep_reflected_laguerre_cell():
     assert fast == exact == _closed_form(f)
 
 
-def test_routh_retries_a_straddle_at_twice_the_bits():
+def test_routh_retries_a_straddle_at_6_bits_per_coefficient(monkeypatch):
     f = _deep_cell("bessel", False, 100, 1)
     assert f.degree() == 202
     _, h = _stripped(f)
     assert stability._routh_rows(h, 5 * len(h)) is None
-    assert stability._routh_rows(h, 10 * len(h)) is True
+    assert stability._routh_rows(h, 6 * len(h)) is True
+    kernel, calls = stability._routh_rows, []
+    monkeypatch.setattr(stability, "_routh_rows",
+                        lambda h, bits: calls.append(bits) or kernel(h, bits))
     cert = is_weakly_hurwitz(f)
+    assert calls == [5 * len(h), 6 * len(h)]
     assert cert.verdict
     assert (cert.p_upper, P(*[0] * cert.gcd_degree, 1), cert.chain_length,
             cert.v_plus, cert.v_minus) == _closed_form(f)
