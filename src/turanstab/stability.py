@@ -29,15 +29,20 @@ entries of the first column of its Routh array are positive.  Then all
 entries are: two consecutive rows hold the even and odd coefficients of
 a Routh-reduced polynomial, again strictly stable.  For h with positive
 coefficients that passes the gate below, ``_routh_rows`` runs the
-fraction-free Routh recurrence on intervals [lo, hi] 2^e, each entry
-with its own exponent e, since the entries of a row span up to about 200
-bits, and P = 5 (deg h + 1) mantissa bits, lo floored and hi ceiled.
-With positive entries a product is bounded by lo lo and hi hi, and a row
-is known up to a positive scale, so positive lower bounds certify h.  An
-upper bound <= 0 proves h not strictly stable; a straddle of 0 runs the
-test once more at P' = 6 (deg h + 1) bits, which certifies every deep
-cell (k <= 100, n <= 10) of Bell, reflected Laguerre and Bessel that a
-retry at 2P does.  The certificate then has a closed form: the
+classical Routh recurrence r_{k+1}[j] = r_{k-1}[j+1] - mu r_k[j+1],
+mu = r_{k-1}[0] / r_k[0], on intervals [lo, hi] 2^e, each entry with its
+own exponent e, since the entries of a row span up to about 200 bits,
+and P = 5 (deg h + 1) mantissa bits, lo floored and hi ceiled.  mu is
+enclosed once per row, to P bits.  With positive entries mu f lies
+between mu_lo f_lo and mu_hi f_hi, so a new entry is bounded below by
+b_lo - mu_hi f_hi and above by b_hi - mu_lo f_lo; mu_hi f_hi is
+mu_lo f_lo plus two products by the narrow widths mu_hi - mu_lo and
+f_hi - f_lo, so an entry costs one full-width product.  Positive lower
+bounds certify h.  An upper bound <= 0 proves h not strictly stable; a
+straddle of 0, or a first entry whose lower bound rounds to 0 (mu is
+then unbounded), runs the test once more at P' = 6 (deg h + 1) bits,
+which certifies every deep cell (k <= 100, n <= 10) of Bell, reflected
+Laguerre and Bessel.  The certificate then has a closed form: the
 rotated parts of h are coprime and their chain is normal, of length
 deg h + 1, so p = deg h; since V(+-inf) <= deg h,
 2p = deg h + V(+inf) - V(-inf) forces V(+inf) = deg h and V(-inf) = 0,
@@ -49,17 +54,17 @@ The gate.  The test is tried for deg h >= 32, and for 2 <= deg h < 32
 when the primitive part of h has a coefficient at least 8 (deg h + 1)
 bits wide (a threshold of its own, not P), so a large constant factor
 does not let an input in.  A failed attempt on a zero pair just right of
-the axis adds 6-12% to the exact chain at degree 32-48 and 3-6% at
-degree 96, since the chain's coefficients grow with the degree and the
-rows do not.  An axis pair leaves a row of zeros that straddles at both
+the axis adds 5-9% to the exact chain at degree 32-48 and 2-4% at
+degree 64-96, since the chain's coefficients grow with the degree and
+the rows do not.  An axis pair leaves a row of zeros that straddles at both
 precisions: times small linear factors, where the chain stays small, the
-attempt costs 2-4 times the chain.  Below degree 32 a narrow input
-would pay 27-37% and 1.5-2.5 times on the same two inputs.  A wide input
-is the other way round: the chain carries its full width from the first
-step, the rows only P bits.  The shifted Hermite windows of ``verify
---suite thm12`` (degree <= 24, up to 938 bits) cost about 8 times less
-than on the chain, and a failed attempt on a wide input of degree 8-20
-costs 0.2-0.7 of the chain (0.8-1.4 times on an axis pair).
+attempt costs 1.4-2.6 times the chain at degree 32-96.  Below degree 32
+a narrow input would pay 9-48% and 1.9-2.2 times on the same two inputs.
+A wide input is the other way round: the chain carries its full width
+from the first step, the rows only P bits.  The shifted Hermite windows
+of ``verify --suite thm12`` (degree <= 24, up to 938 bits) cost about 10
+times less than on the chain, and a failed attempt on a wide input of
+degree 8-20 costs 0.1-0.8 of the chain (0.8-1.7 times on an axis pair).
 
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
@@ -224,34 +229,49 @@ _ROUTH_MIN_DEGREE = 32
 def _routh_rows(h: IntPoly, bits: int) -> Optional[bool]:
     """The interval Routh test of h (every coefficient positive) with
     ``bits`` mantissa bits per entry: True when every entry is certainly
-    positive, False when one is certainly <= 0, None when one straddles 0.
+    positive, False when one is certainly <= 0, None when one straddles 0
+    or a first entry's lower bound rounds to 0.
+
+    The rows are those of the classical table (module docstring), one
+    enclosure of mu per row and one full-width product per entry.
     """
 
-    def rounded(lo, hi, e):  # [lo, hi] 2^e, 0 < lo <= hi: floor lo, ceil hi
-        s = hi.bit_length() - bits
-        return (lo >> s, -(-hi >> s), e + s) if s > 0 else (lo, hi, e)
+    def rounded(c):  # [c, c] 2^0 as [lo, hi] 2^e: floor lo, ceil hi
+        s = c.bit_length() - bits
+        return (c >> s, -(-c >> s), s) if s > 0 else (c, c, 0)
 
-    prev = [rounded(c, c, 0) for c in h[::-2]]
-    row = [rounded(c, c, 0) for c in h[-2::-2]]
+    prev = [rounded(c) for c in h[::-2]]
+    row = [rounded(c) for c in h[-2::-2]]
     for _ in range(len(h) - 2):
-        # r_{k+1}[j] = a r_{k-1}[j+1] - c r_k[j+1] with a = r_k[0] and
-        # c = r_{k-1}[0]; every entry is positive, so bounds pair lo with lo
+        # r_{k+1}[j] = r_{k-1}[j+1] - mu r_k[j+1] with mu = r_{k-1}[0] / r_k[0]
         (a_lo, a_hi, a_e), (c_lo, c_hi, c_e) = row[0], prev[0]
+        if not a_lo:  # floored to 0: mu is unbounded
+            return None
+        # mu in [mu_lo, mu_lo + dmu] 2^mu_e, mu_lo about ``bits`` bits wide;
+        # t >= 0, since c_hi has at most bits + 1 bits and a_lo at least one
+        t = bits - c_hi.bit_length() + a_lo.bit_length()
+        mu_lo = (c_lo << t) // a_hi
+        dmu = -(-(c_hi << t) // a_lo) - mu_lo
+        mu_e = c_e - a_e - t
         new = []
-        for j in range(1, len(prev)):
-            b_lo, b_hi, b_e = prev[j]
-            lo, hi, e = a_lo * b_lo, a_hi * b_hi, a_e + b_e
-            if j < len(row):  # past the end of row the entry is a b alone
-                f_lo, f_hi, f_e = row[j]
-                g_lo, g_hi, g_e = c_lo * f_lo, c_hi * f_hi, c_e + f_e
-                if e > g_e:  # align on the smaller exponent, exactly
-                    lo, hi, e = lo << e - g_e, hi << e - g_e, g_e
-                else:
-                    g_lo, g_hi = g_lo << g_e - e, g_hi << g_e - e
-                lo, hi = lo - g_hi, hi - g_lo
+        for (b_lo, b_hi, b_e), (f_lo, f_hi, f_e) in zip(prev[1:], row[1:]):
+            # every entry is positive, so mu f lies in [mu_lo f_lo, mu_hi f_hi];
+            # mu_hi f_hi = mu_lo f_lo + mu_lo (f_hi - f_lo) + dmu f_hi exactly,
+            # with one full-width product and two by narrow widths
+            g_lo = mu_lo * f_lo
+            g_hi = g_lo + mu_lo * (f_hi - f_lo) + dmu * f_hi
+            e = mu_e + f_e
+            if b_e > e:  # align on the smaller exponent, exactly
+                b_lo, b_hi = b_lo << b_e - e, b_hi << b_e - e
+            else:
+                g_lo, g_hi, e = g_lo << e - b_e, g_hi << e - b_e, b_e
+            lo, hi = b_lo - g_hi, b_hi - g_lo
             if lo <= 0:
                 return None if hi > 0 else False
-            new.append(rounded(lo, hi, e))
+            s = hi.bit_length() - bits
+            new.append((lo >> s, -(-hi >> s), e + s) if s > 0 else (lo, hi, e))
+        # past the end of row the entry is r_{k-1}[j+1] itself
+        new += prev[len(row):]
         prev, row = row, new
     return True
 
@@ -376,9 +396,10 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     count must exhaust its degree.  A strictly stable h = f / x^m with
     positive coefficients, of degree >= 32 or of degree 2-31 with a
     primitive part at least 8 (deg h + 1) bits wide, is certified by the
-    interval Routh test instead of the chain, with the same certificate:
-    5 (deg h + 1) mantissa bits per entry, and 6 (deg h + 1) after a
-    straddle (module docstring).
+    classical Routh table in interval arithmetic instead of the chain, with
+    the same certificate: one enclosed ratio per row, 5 (deg h + 1)
+    mantissa bits per entry, and 6 (deg h + 1) after a straddle (module
+    docstring).
     """
     if f.is_zero:
         raise ValueError("zero polynomial")

@@ -73,6 +73,22 @@ def sign_variations_at_infinity(chain: list[Poly], direction: str) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def routh_table(h: list[int]) -> list[list[Fraction]]:
+    """The classical Routh table of h (ascending integers, deg h >= 1,
+    h[-1] > 0) in Fractions: rows h[d], h[d-2], ... and h[d-1], h[d-3], ...,
+    then r_{k+1}[j] = r_{k-1}[j+1] - (r_{k-1}[0] / r_k[0]) r_k[j+1] with an
+    absent entry read as 0.  It is built while the first-column entries
+    stay positive: it ends after deg h + 1 rows, or at the first row whose
+    first entry is <= 0."""
+    rows = [[Fraction(c) for c in h[::-2]], [Fraction(c) for c in h[-2::-2]]]
+    while len(rows) < len(h) and rows[-1][0] > 0:
+        prev, row = rows[-2], rows[-1]
+        mu = prev[0] / row[0]
+        padded = row[1:] + [Fraction(0)] * (len(prev) - len(row))
+        rows.append([b - mu * f for b, f in zip(prev[1:], padded)])
+    return rows
+
+
 # -- real roots on an interval ------------------------------------------
 
 class RealRootCounter:

@@ -1039,3 +1039,51 @@ def test_routh_certifies_no_unstable_input_at_any_precision(factor):
     _, h = _stripped(_BASE * factor)
     assert min(h) > 0  # the interval test runs
     assert all(stability._routh_rows(h, bits) is not True for bits in range(1, 300))
+
+
+def _routh_oracle_cases():
+    """Seeded positive-coefficient h of degree 2..40, eight of each kind:
+    strictly stable products, and stable products times a pair 2^-s right
+    of the imaginary axis (s = 1..40) or times an axis pair."""
+    rng = random.Random(harness.DEFAULT_SEED)
+
+    def rational():
+        return F(rng.randint(1, 21), rng.randint(1, 7))
+
+    def stable(degree):
+        pairs = rng.randint(0, degree // 2)
+        f = _product("linear", [-rational() for _ in range(degree - 2 * pairs)], 1)
+        for _ in range(pairs):
+            f = f * _factor("pair", -rational(), rational())
+        return f
+
+    for kind in ("stable", "hair", "axis"):
+        found = 0
+        while found < 8:
+            degree = rng.randint(2, 40)
+            if kind == "stable":
+                f = stable(degree)
+            elif kind == "hair":
+                f = stable(degree - 2) * _factor("pair", F(1, 2 ** rng.randint(1, 40)), rational())
+            else:
+                f = stable(degree - 2) * _factor("axis", 0, rational())
+            h = _stripped(f)[1]
+            if min(h) > 0:  # the kernel's input
+                found += 1
+                yield kind, h
+
+
+def test_routh_rows_agree_with_the_exact_table_at_every_precision():
+    # True must mean every exact entry is > 0, False that one is <= 0
+    seen = set()
+    for kind, h in _routh_oracle_cases():
+        table = oracles.routh_table(h)
+        positive = len(table) == len(h) and all(x > 0 for row in table for x in row)
+        assert positive == (kind == "stable"), kind
+        for bits in range(1, 201):
+            got = stability._routh_rows(h, bits)
+            if got is not None:
+                assert got == positive, (kind, len(h) - 1, bits)
+            seen.add((kind, got))
+    # both rules are exercised
+    assert {("stable", True), ("hair", False)} <= seen
