@@ -28,6 +28,7 @@ import json
 import os
 import random
 import time
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial
@@ -36,12 +37,7 @@ from . import expressions, sequences, stability
 from .expressions import reflect_shift, turan_diagonal
 from .polycore import Poly, int_horner
 from .sequences import POLAR_SCALED, POLAR_UNIT, SequenceSpec
-from .stability import (
-    LEFT_OF,
-    RIGHT_OF,
-    is_weakly_hurwitz,
-    nonvanishing_halfplane,
-)
+from .stability import is_weakly_hurwitz, nonvanishing_halfplane
 
 DEFAULT_SEED = 20240823
 
@@ -244,7 +240,8 @@ def emit_reports(records: list[ReportRecord], path, with_timing: bool = False) -
     """Write one JSON object per line, sorted by (family, k, n).
 
     The lines go to ``<path>.partial``, which then replaces ``path``, so an
-    interrupted write never leaves a truncated report.  Timing is off by
+    interrupted write never leaves a truncated report; on any failure the
+    partial file is removed and the old report kept.  Timing is off by
     default so reports are byte-identical across runs and ``jobs`` values.
     """
     ordered = sorted(records, key=ReportRecord.sort_key)
@@ -261,6 +258,9 @@ def emit_reports(records: list[ReportRecord], path, with_timing: bool = False) -
         os.replace(partial, path)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):  # gone after the replace, left by a failure
+            os.remove(partial)
 
 
 # -- canonical polar-relation family ----------------------------------
@@ -335,9 +335,9 @@ def verify_theorem_1_2(spec_or_seq, k_max: int) -> bool:
                 m_lo, _, _, M_hi = stability.isolate_extreme_roots(
                     seq[k + 1], EXTREME_ROOT_TOL
                 )
-                if not nonvanishing_halfplane(expr, M_hi, RIGHT_OF):
+                if not nonvanishing_halfplane(expr, M_hi, left=False):
                     return False
-                if not nonvanishing_halfplane(expr, m_lo, LEFT_OF):
+                if not nonvanishing_halfplane(expr, m_lo, left=True):
                     return False
             return True
         raise ValueError(
@@ -391,9 +391,9 @@ def verify_wronskian_strip(samples: int, seed: int = DEFAULT_SEED) -> bool:
             root = random_rational(rng)
             poly = poly * Poly([-root, 1])
         w = expressions.wronskian(poly)
-        if not nonvanishing_halfplane(w, 1, RIGHT_OF):
+        if not nonvanishing_halfplane(w, 1, left=False):
             return False
-        if not nonvanishing_halfplane(w, -1, LEFT_OF):
+        if not nonvanishing_halfplane(w, -1, left=True):
             return False
     return True
 

@@ -79,6 +79,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import polycore
+from .expressions import reflect_shift
 from .polycore import (
     IntPoly,
     Poly,
@@ -88,9 +89,6 @@ from .polycore import (
     int_primitive,
     int_pseudo_rem,
 )
-
-RIGHT_OF = "right_of"
-LEFT_OF = "left_of"
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -434,14 +432,12 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     )
 
 
-def nonvanishing_halfplane(f: Poly, tau: Scalar, side: str) -> bool:
-    """True iff f is zero-free on Re x > tau (right_of) or Re x < tau (left_of)."""
+def nonvanishing_halfplane(f: Poly, tau: Scalar, *, left: bool) -> bool:
+    """True iff f is zero-free on Re x > tau, or on Re x < tau if ``left``:
+    iff f(x + tau), or f(tau - x) = reflect_shift(f, True, -tau), is weakly
+    Hurwitz stable."""
     tau = Fraction(tau)
-    if side == RIGHT_OF:
-        return is_weakly_hurwitz(f.compose_linear(1, tau)).verdict
-    if side == LEFT_OF:
-        return is_weakly_hurwitz(f.compose_linear(-1, tau)).verdict
-    raise ValueError(f"unknown side {side!r}")
+    return is_weakly_hurwitz(reflect_shift(f, left, -tau if left else tau)).verdict
 
 
 def interlace_check(

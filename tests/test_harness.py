@@ -338,6 +338,14 @@ class TestReports:
             emit_reports(records, path)
         assert len(calls) == 2
         assert path.read_bytes() == b"previous report\n"
+        assert list(tmp_path.iterdir()) == [path]  # no r.jsonl.partial
+
+    def test_directory_path_leaves_no_partial(self, tmp_path):
+        target = tmp_path / "adir"
+        target.mkdir()
+        with pytest.raises(OSError, match="cannot write report to"):
+            emit_reports(run_campaign(bell_cfg(k_max=1, n_max=1)), target)
+        assert list(tmp_path.iterdir()) == [target]  # no adir.partial
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
@@ -418,6 +426,12 @@ class TestSuites:
 
     def test_theorem_hermite_small(self):
         assert verify_theorem_1_2(sequences.spec("hermite"), 6)
+
+    @pytest.mark.parametrize("params", [(1, F(1, 2), 3), (F(1, 3), -2, F(-1, 2))])
+    def test_theorem_asymmetric_type_h(self, params):
+        # the zeros centre on b/a, not on 0 as Hermite's do, so the two
+        # sides of a window are two different questions
+        assert verify_theorem_1_2(sequences.spec("type_h", params), 10)
 
     def test_theorem_polar_sequence(self):
         seq = polar_unit_sequence(10)

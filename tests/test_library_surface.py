@@ -9,7 +9,8 @@ defaulted parameter of a public function or method must be set by some
 call there or in the acceptance gate; one that only tests set is a
 constant.  And no module but ``__init__.py`` imports a name it never
 reads, so a dead import can neither keep a name referenced nor outlive
-the code that used it.
+the code that used it.  Only ``expressions.reflect_shift`` calls
+``compose_linear``, so there is one reflect/shift path.
 """
 
 import ast
@@ -167,3 +168,26 @@ def test_no_module_imports_a_name_it_never_reads():
         and (names := _imports_never_read(path.read_text()))
     }
     assert unused == {}, f"imported and never read: {unused}"
+
+
+def _callers_of(method: str) -> set:
+    """'module.function' of each top-level function (or 'module' at
+    module level) in the package whose body calls ``.method(...)``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            where = path.stem
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                where = f"{path.stem}.{top.name}"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == method):
+                    found.add(where)
+    return found
+
+
+def test_one_reflect_shift_path():
+    """Every x -> +-x + c substitution goes through reflect_shift, so the
+    campaigns and the half-plane checks cannot drift apart."""
+    assert _callers_of("compose_linear") == {"expressions.reflect_shift"}

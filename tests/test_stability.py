@@ -13,8 +13,6 @@ from turanstab.polycore import Poly
 from turanstab.sequences import hermite
 from turanstab.stability import (
     INCONCLUSIVE,
-    LEFT_OF,
-    RIGHT_OF,
     STABLE,
     UNSTABLE,
     all_roots_real,
@@ -357,20 +355,24 @@ class TestVerdicts:
 class TestNonvanishingHalfplane:
     def test_wronskian_strip(self):
         w = P(1, 0, 0, 0, 3)  # W(x^3 - x); all zeros have |Re| < 1
-        assert nonvanishing_halfplane(w, 1, RIGHT_OF)
-        assert nonvanishing_halfplane(w, -1, LEFT_OF)
-        assert not nonvanishing_halfplane(w, 0, RIGHT_OF)
-        assert not nonvanishing_halfplane(w, 0, LEFT_OF)
+        assert nonvanishing_halfplane(w, 1, left=False)
+        assert nonvanishing_halfplane(w, -1, left=True)
+        assert not nonvanishing_halfplane(w, 0, left=False)
+        assert not nonvanishing_halfplane(w, 0, left=True)
 
     def test_real_roots(self):
+        # a flipped left shift, f(-x - tau), would move the zeros 1 and 3 to
+        # -1 - tau and -3 - tau and read True left of 2
         f = P(-1, 1) * P(-3, 1)
-        assert nonvanishing_halfplane(f, 3, RIGHT_OF)
-        assert not nonvanishing_halfplane(f, 2, RIGHT_OF)
-        assert nonvanishing_halfplane(f, 1, LEFT_OF)
+        assert nonvanishing_halfplane(f, 3, left=False)
+        assert not nonvanishing_halfplane(f, 2, left=False)
+        assert nonvanishing_halfplane(f, 1, left=True)
+        assert nonvanishing_halfplane(f, F(1, 2), left=True)
+        assert not nonvanishing_halfplane(f, 2, left=True)
 
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            nonvanishing_halfplane(P(1, 1), 0, "above")
+    def test_side_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            nonvanishing_halfplane(P(1, 1), 0, True)
 
 
 class TestInterlace:
@@ -855,8 +857,8 @@ def _hermite_windows():
     for k in range(13):
         expr = expressions.turan(seq, k)
         m_lo, _, _, M_hi = isolate_extreme_roots(seq[k + 1], harness.EXTREME_ROOT_TOL)
-        yield (k, RIGHT_OF), expr.compose_linear(1, M_hi)
-        yield (k, LEFT_OF), expr.compose_linear(-1, m_lo)
+        yield (k, "right"), expr.compose_linear(1, M_hi)
+        yield (k, "left"), expr.compose_linear(-1, m_lo)
 
 
 def test_routh_certifies_every_hermite_window():
