@@ -109,10 +109,11 @@ def fisk_expression(f: Poly, a: Scalar, b: Scalar, c: Scalar) -> Poly:
     )
 
 
-def reflect_shift(expr: Poly, reflect: bool, shift: Fraction) -> Poly:
+def reflect_shift(expr: Poly, reflect: bool, shift: Scalar) -> Poly:
     """``reflect`` applies x -> -x to expr; a non-zero ``shift`` then
     applies x -> x + shift.  Both together are one substitution,
     x -> -x - shift."""
+    shift = Fraction(shift)
     if reflect:
         return expr.compose_linear(-1, -shift)
     if shift:

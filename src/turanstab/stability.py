@@ -51,20 +51,24 @@ Any doubt (an entry <= 0, a straddle at P', a coefficient <= 0, an h
 outside the gate) falls through to the exact chain.
 
 The gate.  The test is tried for deg h >= 32, and for 2 <= deg h < 32
-when the primitive part of h has a coefficient at least 8 (deg h + 1)
+when the primitive part of h has a coefficient at least 4 (deg h + 1)
 bits wide (a threshold of its own, not P), so a large constant factor
 does not let an input in.  A failed attempt on a zero pair just right of
 the axis adds 5-9% to the exact chain at degree 32-48 and 2-4% at
 degree 64-96, since the chain's coefficients grow with the degree and
-the rows do not.  An axis pair leaves a row of zeros that straddles at both
-precisions: times small linear factors, where the chain stays small, the
-attempt costs 1.4-2.6 times the chain at degree 32-96.  Below degree 32
-a narrow input would pay 9-48% and 1.9-2.2 times on the same two inputs.
-A wide input is the other way round: the chain carries its full width
-from the first step, the rows only P bits.  The shifted Hermite windows
-of ``verify --suite thm12`` (degree <= 24, up to 938 bits) cost about 10
-times less than on the chain, and a failed attempt on a wide input of
-degree 8-20 costs 0.1-0.8 of the chain (0.8-1.7 times on an axis pair).
+the rows do not.  An axis pair leaves a row of zeros that straddles at
+both precisions: times small linear factors, where the chain stays
+small, the attempt costs 1.4-2.6 times the chain at degree 32-96.
+Below degree 32 a narrow input would pay 9-48% and 1.9-2.2 times on the
+same two inputs, so it stays on the chain.  A wide input is the other
+way round: at 4 (deg h + 1) bits, four fifths of the rows' P, the chain
+carries at least that width from its first step.  The shifted Hermite
+windows of ``verify --suite thm12`` (degree <= 24, up to 938 bits) cost
+about 10 times less than on the chain, and every window of the
+Wronskian strip the gate admits is certified.  At about 4 (deg h + 1)
+bits, degree 8-31, a failed attempt costs 0.6-0.8 of the chain on a
+pair just right of the axis and 1.8-2.3 times on an axis pair, within
+what degree 32-96 already pays.
 
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
@@ -277,8 +281,9 @@ def _routh_rows(h: IntPoly, bits: int) -> Optional[bool]:
 def _routh_data(num: IntPoly):
     """``_halfplane_data`` of the rotated parts of num, in closed form,
     when the interval Routh test (5 (deg h + 1) mantissa bits, 6 (deg h + 1)
-    after a straddle) certifies num / x^m strictly Hurwitz stable; None
-    when it does not try or does not certify.
+    after a straddle) certifies h = num / x^m strictly Hurwitz stable; None
+    when it does not certify, or does not try: below degree 32 it tries
+    only an h whose primitive part is at least 4 (deg h + 1) bits wide.
     """
     m = 0 if num[0] else next(i for i, c in enumerate(num) if c)
     d = len(num) - 1 - m
@@ -288,7 +293,7 @@ def _routh_data(num: IntPoly):
         # the width of h's primitive part, where every coefficient of h is
         # positive (else the sign test below refuses); the gcd only for a
         # wide h, since the primitive part is never wider than h
-        width = 8 * (d + 1)
+        width = 4 * (d + 1)
         top = max(num) if num[-1] > 0 else -min(num)
         if top.bit_length() < width or (top // math.gcd(*num)).bit_length() < width:
             return None
@@ -344,13 +349,24 @@ def isolate_extreme_roots(
 
     Both are one search for the j-th distinct real root from the left, run
     for j = 1 and j = r, the number of distinct real roots.  It bisects
-    (-B, B] for the power-of-two root bound B of the squarefree part, so
-    every midpoint is dyadic, and counts from -inf: the roots at or below
-    x number V(-inf) - V(x), and V(-inf) is read off the leading signs, so
-    a step evaluates the Sturm chain once, at the midpoint, and never at
-    +-B (no root lies outside (-B, B), so V(-B) = V(-inf)).  The sign of
-    the chain's first element there, the squarefree part, tells whether
-    the midpoint is a root; the j-th root collapses the bracket.
+    (-B, B] for the power-of-two root bound B of the squarefree part s, on
+    integers: a point is a / 2^e, and a bracket is wider than tol when
+    (hi - lo) tol.den > tol.num 2^e.  It counts from -inf: the roots at or
+    below x number V(-inf) - V(x), and V(-inf) is read off the leading
+    signs, so no step evaluates at +-B (no root lies outside (-B, B), so
+    V(-B) = V(-inf) and V(B) = V(+inf)).  The search keeps the counts at
+    both bracket ends and isolates, then refines:
+
+    - while the j-th root is not alone in (lo, hi], a step evaluates the
+      whole Sturm chain at the midpoint, and the sign of s there tells
+      whether the midpoint is a root; the j-th root collapses the bracket;
+    - once hi counts j roots and lo counts j - 1, the j-th root is the
+      only root of s in (lo, hi], and s(hi) != 0 (hi is B or a midpoint
+      where s did not vanish), so a step evaluates s alone and compares
+      its sign at the midpoint with its sign at hi.
+
+    Every decision is the one the full chain would take.  Fractions are
+    formed only for the returned brackets.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -360,25 +376,32 @@ def isolate_extreme_roots(
     r = v_minus - v_plus
     if r == 0:
         raise ValueError("polynomial has no real roots")
-    bound = Fraction(_root_bound(chain[0]))
+    s, bound = chain[0], _root_bound(chain[0])
 
     def bisect(j: int) -> tuple[Fraction, Fraction]:
-        # invariant: the j-th root lies in (lo, hi]
-        lo, hi = -bound, bound
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            # at mid = p/q with q > 0, an element of degree d has the sign
-            # of the integer q^d * g(p/q)
-            p, q = mid.numerator, mid.denominator
-            signs = [_sign(int_horner(g, p, q)) for g in chain]
-            below = v_minus - _variations(signs)  # roots in (-inf, mid]
-            if below < j:
-                lo = mid
-            elif not signs[0] and below == j:
-                return max(lo, mid - tol), mid  # mid is the j-th root
+        # invariant: the j-th root lies in (lo, hi] / 2^e, with n_lo and
+        # n_hi roots at or below the ends and s of the sign s_hi at hi
+        lo, hi, e = -bound, bound, 0
+        n_lo, n_hi, s_hi = 0, r, _sign(s[-1])
+        while (hi - lo) * tol.denominator > tol.numerator << e:
+            lo, hi, e = lo << 1, hi << 1, e + 1
+            mid = (lo + hi) >> 1
+            # an element g of degree d has at mid / 2^e the sign of the
+            # integer 2^(e d) g(mid / 2^e)
+            if n_lo == j - 1 and n_hi == j:  # the j-th root is alone
+                s_mid = _sign(int_horner(s, mid, 1 << e))
+                below = j if s_mid in (0, s_hi) else j - 1
             else:
-                hi = mid
-        return lo, hi
+                signs = [_sign(int_horner(g, mid, 1 << e)) for g in chain]
+                s_mid, below = signs[0], v_minus - _variations(signs)
+            if below < j:
+                lo, n_lo = mid, below
+            elif not s_mid and below == j:  # mid is the j-th root
+                root = Fraction(mid, 1 << e)
+                return max(Fraction(lo, 1 << e), root - tol), root
+            else:
+                hi, n_hi, s_hi = mid, below, s_mid
+        return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
     return (*bisect(1), *bisect(r))
 
@@ -393,7 +416,7 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     rotated parts must be fully real-rooted and the quotient's open-upper
     count must exhaust its degree.  A strictly stable h = f / x^m with
     positive coefficients, of degree >= 32 or of degree 2-31 with a
-    primitive part at least 8 (deg h + 1) bits wide, is certified by the
+    primitive part at least 4 (deg h + 1) bits wide, is certified by the
     classical Routh table in interval arithmetic instead of the chain, with
     the same certificate: one enclosed ratio per row, 5 (deg h + 1)
     mantissa bits per entry, and 6 (deg h + 1) after a straddle (module

@@ -244,6 +244,13 @@ class TestBuildExpression:
         )
         assert reflect_shift(extended_turan(seq, 2, 2), True, F(1, 2)) == want
 
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_string_shift(self, reflect):
+        # a shift given as a string, as Poly coefficients may be, works on
+        # both branches: the reflection negates it
+        expr = turan(laguerre(6), 2)
+        assert reflect_shift(expr, reflect, "1/2") == reflect_shift(expr, reflect, F(1, 2))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             extended_turan(bell(3), -1, 1)

@@ -31,7 +31,12 @@ from turanstab.harness import (
 from turanstab.polycore import Poly, int_mul
 from turanstab.sequences import POLAR_UNIT
 
-from oracles import is_squarefree, oracle_agreement, random_squarefree_poly
+from oracles import (
+    is_squarefree,
+    oracle_agreement,
+    random_squarefree_poly,
+    type_a_recurrence,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -451,6 +456,42 @@ class TestSuites:
 
     def test_extreme_root_tol_pinned(self):
         assert EXTREME_ROOT_TOL == F(1, 1 << 20)
+
+
+class TestBeyondTheSuites:
+    """Claims past what ``verify --suite all`` checks."""
+
+    @pytest.mark.parametrize(
+        "params", [(2, 0, -1), (1, F(1, 2), 3), (F(1, 3), -2, F(-1, 2))])
+    def test_type_h_windows_at_extended_orders(self, params):
+        # T(k, n) for n = 1, 2, 3 has no zero right of the upper bracket
+        # end of P_{k+1}'s largest zero, nor left of the lower end of its
+        # smallest; each end lies within 2^-20 outside its zero, so this is
+        # the type-H claim checked just beyond the zeros, on both sides
+        seq = sequences.generate(sequences.spec("type_h", params), 12 + 2 * 3)
+        for k in range(13):
+            m_lo, _, _, M_hi = stability.isolate_extreme_roots(seq[k + 1], EXTREME_ROOT_TOL)
+            for n in (1, 2, 3):
+                expr = expressions.extended_turan(seq, k, n)
+                assert stability.nonvanishing_halfplane(expr, M_hi, left=False), (k, n)
+                assert stability.nonvanishing_halfplane(expr, m_lo, left=True), (k, n)
+
+    def test_type_a_cell_stable_iff_its_c_step_rises(self):
+        # outside the type-A hypothesis of a non-decreasing c, the n = 1
+        # cell k, shifted by -b, is stable exactly where c_{k+1} >= c_k
+        rng = random.Random(DEFAULT_SEED)
+        cells = 0
+        for _ in range(12):
+            a, b = rng.choice([1, 2, -1, F(1, 3)]), rng.randint(0, 3)
+            c = [F(rng.randint(1, 20), rng.randint(1, 5)) for _ in range(14)]
+            assert any(x > y for x, y in zip(c, c[1:]))  # not monotone
+            seq = type_a_recurrence(a, b, c, 14)
+            for k in range(13):
+                expr = expressions.reflect_shift(expressions.turan(seq, k), False, -b)
+                stable = stability.is_weakly_hurwitz(expr).verdict
+                assert stable == (c[k + 1] >= c[k]), (a, b, c, k)
+                cells += 1
+        assert cells == 156
 
 
 class TestOracleAgreement:

@@ -229,6 +229,12 @@ _BRACKET_SETS = {
         family: sequences.generate(sequences.spec(family), 14)[1:]
         for family in ("hermite", "legendre", "chebyshev_t", "laguerre")
     },
+    # P_1..P_13 of the type-H windows beyond the paper's Hermite suite
+    "type_h": [
+        p
+        for params in ((2, 0, -1), (1, F(1, 2), 3), (F(1, 3), -2, F(-1, 2)))
+        for p in sequences.generate(sequences.spec("type_h", params), 13)[1:]
+    ],
     # multiple roots, and midpoints of the bisection that land on a root:
     # the target of both searches (x^2 - 1 at -1 and 1, x^2 at 0) or of
     # neither (x^3 (x - 1)^3 (x + 2) at 0)
@@ -259,37 +265,41 @@ def test_isolate_extreme_roots_matches_two_evaluation_reference(name, tol):
     ids=["H_13", "x^2-1", "x^3(x-1)^3(x+2)"],
 )
 def test_isolate_extreme_roots_evaluates_only_midpoints(monkeypatch, f, tol):
-    points = []
+    calls = []
     int_horner = stability.int_horner
 
     def recording(g, p, q):
-        points.append(F(p, q))
+        calls.append((g, F(p, q)))
         return int_horner(g, p, q)
 
     monkeypatch.setattr(stability, "int_horner", recording)
     brackets = isolate_extreme_roots(f, tol)
     monkeypatch.undo()
-    # each step evaluates every element of the chain at one point
-    length = len(stability._sturm_chain(f))
-    xs = points[::length]
-    assert points == [x for x in xs for _ in range(length)]
-    bound = root_bound(RealRootCounter(f).squarefree)
-    assert -bound not in xs and bound not in xs
-    # replay both searches from their results: each evaluation is the
-    # midpoint of its step's bracket, and a search ends at width <= tol or
-    # on the midpoint that is its root
-    rest = iter(xs)
-    for b_lo, b_hi in (brackets[:2], brackets[2:]):
+    chain = stability._sturm_chain(f)
+    counter = RealRootCounter(f)
+    bound = root_bound(counter.squarefree)
+    assert all(abs(x) != bound for _, x in calls)
+    # replay both searches from their results: each step evaluates at the
+    # midpoint of its bracket, the whole chain while the target root shares
+    # the bracket and the squarefree part alone once the root is the only
+    # one in it, and a search ends at width <= tol or on the midpoint that
+    # is its root
+    rest, sign_only = iter(calls), 0
+    targets = (1, counter.count(None, None))
+    for j, (b_lo, b_hi) in zip(targets, (brackets[:2], brackets[2:])):
         lo, hi = -bound, bound
         while hi - lo > tol:
             mid = (lo + hi) / 2
-            assert next(rest) == mid
-            if mid == b_hi and f(mid) == 0:
+            want = chain[:1] if counter.count(lo, hi) == 1 else chain
+            sign_only += len(want) == 1
+            assert [next(rest) for _ in want] == [(g, mid) for g in want]
+            if mid == b_hi and f(mid) == 0 and counter.count(None, mid) == j:
                 lo, hi = max(lo, mid - tol), mid
                 break
             lo, hi = (lo, mid) if mid >= b_hi else (mid, hi)
         assert (lo, hi) == (b_lo, b_hi)
     assert next(rest, None) is None
+    assert sign_only > 0
 
 
 class TestVerdicts:
@@ -843,11 +853,11 @@ def test_routh_refuses_a_hair_unstable_pair(b):
 
 def _wide(f):
     """f = x^m h with deg h in 2..31 and h's primitive part at least
-    8 (deg h + 1) bits wide: the inputs the width gate lets in."""
+    4 (deg h + 1) bits wide: the inputs the width gate lets in."""
     num = polycore.clear_denominators(f)
     h = num[next(i for i, c in enumerate(num) if c):]
     top = max(abs(c) for c in h) // math.gcd(*h)
-    return 2 <= len(h) - 1 < 32 and top.bit_length() >= 8 * len(h)
+    return 2 <= len(h) - 1 < 32 and top.bit_length() >= 4 * len(h)
 
 
 def _hermite_windows():
@@ -872,6 +882,29 @@ def test_routh_certifies_every_hermite_window():
         assert fast == exact, case
         certified += 1
     assert certified == 24
+
+
+def _wronskian_windows():
+    """The inputs of ``verify_wronskian_strip(100)`` at the default seed:
+    each Wronskian moved right of 1 and, reflected, left of -1."""
+    rng = random.Random(harness.DEFAULT_SEED)
+    for sample in range(100):
+        poly = Poly.one()
+        for _ in range(rng.randint(1, 10)):
+            poly = poly * Poly([-harness.random_rational(rng), 1])
+        w = expressions.wronskian(poly)
+        yield (sample, "right"), expressions.reflect_shift(w, False, 1)
+        yield (sample, "left"), expressions.reflect_shift(w, True, 1)
+
+
+def test_routh_certifies_every_wronskian_window():
+    certified = 0
+    for case, f in _wronskian_windows():
+        if _wide(f):
+            fast, exact = _both_paths(f)
+            assert fast == exact, case
+            certified += 1
+    assert certified == 152
 
 
 @st.composite
@@ -920,12 +953,20 @@ def test_routh_refuses_a_wide_hair_unstable_pair(b):
     assert not is_weakly_hurwitz(f).verdict
 
 
+# (x + 1)^7 (x + 2^e + 1): strictly stable, monic, of degree 8, with the
+# top coefficient 35 (2^e + 2) of e + 6 bits; the width gate asks for 36
+def _at_width(e):
+    return P(1, 1) ** 7 * P(2**e + 1, 1)
+
+
 @pytest.mark.parametrize("f", [
     _BASE.exact_div(P(1, 1)),  # degree 31, below the gate and narrow
     _product("linear", range(-5, 0), 1) * 2**400,  # narrow once primitive
+    _at_width(29),  # 35 bits, one under the width gate at degree 8
     Poly([*_BASE.num[:5], 0, *_BASE.num[6:]]),  # a zero coefficient
     Poly([*_BASE.num[:5], -1, *_BASE.num[6:]]),  # a negative coefficient
-], ids=["degree-31", "wide-content", "zero-coefficient", "negative-coefficient"])
+], ids=["degree-31", "wide-content", "one-bit-narrow", "zero-coefficient",
+        "negative-coefficient"])
 def test_routh_does_not_try(f):
     assert stability._routh_data(polycore.clear_denominators(f)) is None
 
@@ -933,6 +974,14 @@ def test_routh_does_not_try(f):
 def test_routh_certifies_at_the_gate():
     fast, exact = _both_paths(_BASE * P(0, 0, -3))
     assert fast == exact == (32, P(0, 0, 1), 33, 32, 0)
+
+
+def test_routh_certifies_at_the_width_gate():
+    f = _at_width(30)
+    assert max(f.num).bit_length() == 4 * 9 and _wide(f)
+    assert not _wide(_at_width(29))
+    fast, exact = _both_paths(f)
+    assert fast == exact == (8, P(1), 9, 8, 0)
 
 
 def _stripped(f):
