@@ -285,17 +285,21 @@ def int_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> tuple[IntPoly, bool]:
     Returns ``(r, positive)`` where r = lc(g)^t * rem(f, g) for the number t
     of elimination steps actually taken, and ``positive`` tells whether the
     multiplier lc(g)^t is positive.  Only the sign coherence matters to the
-    Sturm chains built on top of this.
+    Sturm chains built on top of this.  A step builds lc(g) r - lc(r) x^d g
+    as one list over zip(r, x^d g), r stopping short of the cancelled top;
+    x^0 g and x^1 g, a normal chain's steps, are built once per call.
     """
     if not g:
         raise ZeroDivisionError("pseudo-division by zero")
     r = list(f)
     lg = g[-1]
+    shifted = (g, [0, *g])
     steps = 0
     while len(r) >= len(g):
         d = len(r) - len(g)
         lf = r.pop()  # lg r - lf x^d g, whose top term cancels
-        r = [lg * c for c in r[:d]] + [lg * c - lf * e for c, e in zip(r[d:], g)]
+        xg = shifted[d] if d < 2 else [0] * d + list(g)
+        r = [lg * c - lf * e for c, e in zip(r, xg)]
         while r and r[-1] == 0:
             r.pop()
         steps += 1
@@ -317,7 +321,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
         f, g = g, f
     while True:
         if len(g) == 1:
-            return Poly.one()
+            return Poly.from_ints([1], 1)
         r, _ = int_pseudo_rem(f, g)
         if not r:
             return Poly.from_ints(g, g[-1])  # g / lc(g)

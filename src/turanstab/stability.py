@@ -20,7 +20,9 @@ interlacing (``interlace_check``), by the Hermite-Biehler theorem.
 
 The real-line questions (is the gcd real-rooted, where do the extreme
 zeros of a polynomial lie) use the classical Sturm chain of its
-squarefree part instead (``_sturm_chain``).
+squarefree part instead (``_sturm_chain``), found from gcd(f, f'): a
+squarefree f is its own, so its chain is that of (f, f'), undivided.  A
+Routh-certified verdict (below) asks none: its gcd is x^m.
 
 Fast path.  Write f = x^m h with h(0) != 0 and the leading coefficient
 of h positive.  By the Routh-Hurwitz theorem (Gantmacher, The Theory of
@@ -317,7 +319,11 @@ def _sturm_chain(f: Poly) -> list[IntPoly]:
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no Sturm chain")
-    s = f.exact_div(polycore.gcd(f, f.derivative()))
+    df = f.derivative()
+    g = polycore.gcd(f, df)
+    if len(g.num) == 1:  # f is squarefree: s = f
+        return _int_chain(f.num, df.num)
+    s = f.exact_div(g)
     return _int_chain(s.num, s.derivative().num)
 
 
@@ -348,7 +354,9 @@ def isolate_extreme_roots(
     m_lo < m <= m_hi and M_lo < M <= M_hi.
 
     Both are one search for the j-th distinct real root from the left, run
-    for j = 1 and j = r, the number of distinct real roots.  It bisects
+    for j = 1 and j = r, the number of distinct real roots (once if r = 1;
+    else both take the whole-chain counts of a midpoint they share from
+    one evaluation).  It bisects
     (-B, B] for the power-of-two root bound B of the squarefree part s, on
     integers: a point is a / 2^e, and a bracket is wider than tol when
     (hi - lo) tol.den > tol.num 2^e.  It counts from -inf: the roots at or
@@ -377,6 +385,7 @@ def isolate_extreme_roots(
     if r == 0:
         raise ValueError("polynomial has no real roots")
     s, bound = chain[0], _root_bound(chain[0])
+    shared = {}  # (mid, e) -> (sign of s, roots at or below) off the whole chain
 
     def bisect(j: int) -> tuple[Fraction, Fraction]:
         # invariant: the j-th root lies in (lo, hi] / 2^e, with n_lo and
@@ -391,9 +400,11 @@ def isolate_extreme_roots(
             if n_lo == j - 1 and n_hi == j:  # the j-th root is alone
                 s_mid = _sign(int_horner(s, mid, 1 << e))
                 below = j if s_mid in (0, s_hi) else j - 1
+            elif (mid, e) in shared:
+                s_mid, below = shared[mid, e]
             else:
                 signs = [_sign(int_horner(g, mid, 1 << e)) for g in chain]
-                s_mid, below = signs[0], v_minus - _variations(signs)
+                s_mid, below = shared[mid, e] = signs[0], v_minus - _variations(signs)
             if below < j:
                 lo, n_lo = mid, below
             elif not s_mid and below == j:  # mid is the j-th root
@@ -403,7 +414,8 @@ def isolate_extreme_roots(
                 hi, n_hi, s_hi = mid, below, s_mid
         return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
-    return (*bisect(1), *bisect(r))
+    smallest = bisect(1)
+    return (*smallest, *(smallest if r == 1 else bisect(r)))
 
 
 # -- stability verdicts -----------------------------------------------
@@ -437,11 +449,10 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
             v_minus=0,
         )
     num = clear_denominators(f)
-    p, g, chain_length, v_plus, v_minus = _routh_data(num) or _halfplane_data(
-        *_rotated_parts(num)
-    )
+    routh = _routh_data(num)  # certified, with the real-rooted gcd x^m
+    p, g, chain_length, v_plus, v_minus = routh or _halfplane_data(*_rotated_parts(num))
     gcd_degree = len(g) - 1
-    gcd_all_real = gcd_degree == 0 or all_roots_real(Poly.from_ints(g, 1))
+    gcd_all_real = bool(routh) or len(g) == 1 or all_roots_real(Poly.from_ints(g, 1))
     verdict = gcd_all_real and p == degree - gcd_degree
     return StabilityCertificate(
         verdict=verdict,

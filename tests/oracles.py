@@ -89,6 +89,42 @@ def routh_table(h: list[int]) -> list[list[Fraction]]:
     return rows
 
 
+# -- the PRS kernels without their fast paths --------------------------
+
+def int_pseudo_rem_reference(f, g) -> tuple[list[int], bool]:
+    """``polycore.int_pseudo_rem`` with each step built from two slices:
+    the low d entries times lg, then lg r - lf g over the rest."""
+    if not g:
+        raise ZeroDivisionError("pseudo-division by zero")
+    r = list(f)
+    lg = g[-1]
+    steps = 0
+    while len(r) >= len(g):
+        d = len(r) - len(g)
+        lf = r.pop()
+        r = [lg * c for c in r[:d]] + [lg * c - lf * e for c, e in zip(r[d:], g)]
+        while r and r[-1] == 0:
+            r.pop()
+        steps += 1
+    return r, lg > 0 or steps % 2 == 0
+
+
+def sturm_chain_reference(f: Poly) -> list[list[int]]:
+    """``stability._sturm_chain`` dividing f by gcd(f, f') whatever the gcd,
+    chained with ``int_pseudo_rem_reference``."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no Sturm chain")
+    s = f.exact_div(polycore.gcd(f, f.derivative()))
+    ds = s.derivative()
+    chain = [list(s.num), list(ds.num)] if ds else [list(s.num)]
+    while len(chain) >= 2:
+        r, positive = int_pseudo_rem_reference(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(int_primitive([-c for c in r] if positive else r))
+    return chain
+
+
 # -- real roots on an interval ------------------------------------------
 
 class RealRootCounter:

@@ -461,20 +461,33 @@ class TestSuites:
 class TestBeyondTheSuites:
     """Claims past what ``verify --suite all`` checks."""
 
-    @pytest.mark.parametrize(
-        "params", [(2, 0, -1), (1, F(1, 2), 3), (F(1, 3), -2, F(-1, 2))])
-    def test_type_h_windows_at_extended_orders(self, params):
+    @pytest.mark.parametrize("params, inner", [
+        (params, inner)
+        for inner in (False, True)
+        for params in ((2, 0, -1), (1, F(1, 2), 3), (F(1, 3), -2, F(-1, 2)))
+    ], ids=[*(f"params{i}" for i in range(3)),
+            *(f"params{i}-P_k-inner" for i in range(3))])
+    def test_type_h_windows_at_extended_orders(self, params, inner):
         # T(k, n) for n = 1, 2, 3 has no zero right of the upper bracket
         # end of P_{k+1}'s largest zero, nor left of the lower end of its
         # smallest; each end lies within 2^-20 outside its zero, so this is
-        # the type-H claim checked just beyond the zeros, on both sides
+        # the type-H claim checked just beyond the zeros, on both sides.
+        # With ``inner`` the window is P_k's, for k >= 2, checked at the
+        # inner bracket ends (M_lo < M and m_hi >= m), so a pass implies the
+        # tighter claim at the zeros themselves.  At k = 1 the zeros of
+        # T(1, n) lie on the line Re x = b/a through the one zero of P_1:
+        # the right side fails at M_lo, and the left side holds only because
+        # b/a is dyadic here, so the bisection stops at m_hi = b/a.
         seq = sequences.generate(sequences.spec("type_h", params), 12 + 2 * 3)
-        for k in range(13):
-            m_lo, _, _, M_hi = stability.isolate_extreme_roots(seq[k + 1], EXTREME_ROOT_TOL)
+        for k in range(1 if inner else 0, 13):
+            m_lo, m_hi, M_lo, M_hi = stability.isolate_extreme_roots(
+                seq[k if inner else k + 1], EXTREME_ROOT_TOL)
+            left, right = (m_hi, M_lo) if inner else (m_lo, M_hi)
             for n in (1, 2, 3):
                 expr = expressions.extended_turan(seq, k, n)
-                assert stability.nonvanishing_halfplane(expr, M_hi, left=False), (k, n)
-                assert stability.nonvanishing_halfplane(expr, m_lo, left=True), (k, n)
+                holds = stability.nonvanishing_halfplane(expr, right, left=False)
+                assert holds == (not inner or k > 1), (k, n)
+                assert stability.nonvanishing_halfplane(expr, left, left=True), (k, n)
 
     def test_type_a_cell_stable_iff_its_c_step_rises(self):
         # outside the type-A hypothesis of a non-decreasing c, the n = 1

@@ -1,21 +1,24 @@
 """Unit and property tests for the exact polynomial core."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from turanstab import cli
+from turanstab import cli, stability
 from turanstab.polycore import (
     Poly,
     clear_denominators,
     gcd,
+    int_mul,
     int_primitive,
+    int_pseudo_rem,
 )
 
-from oracles import is_squarefree, squarefree_part
+from oracles import int_pseudo_rem_reference, is_squarefree, squarefree_part
 
 X = Poly.x()
 
@@ -157,6 +160,61 @@ class TestIntegerKernel:
 
     def test_primitive(self):
         assert int_primitive([6, -9, 12]) == [2, -3, 4]
+
+
+def _pseudo_rem_pairs(rng: random.Random, count: int):
+    """(f, g) pairs with deg f - deg g = 0..5 of four kinds: random; f a
+    multiple of g plus a short tail, so elimination leaves zero tops; the
+    parity-pure rotated parts (re, im) and every later pair of their
+    chain; and f shorter than g."""
+    def ints(n, bits=20):
+        return [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+
+    def lead():
+        big = rng.randint(1, 1 << 40)
+        return rng.choice([1, -1, 2, -3, big, -big])
+
+    pairs, step = [], 0
+    while len(pairs) < count:
+        kind, d, step = step % 4, rng.randint(0, 5), step + 1
+        g = ints(rng.randint(0, 8)) + [lead()]
+        if kind == 0:
+            pairs.append((ints(len(g) + d - 1) + [lead()], g))
+        elif kind == 1:
+            f = int_mul(ints(d) + [lead()], g)
+            for i, c in enumerate(ints(rng.randint(0, len(g) - 1), 8)):
+                f[i] += c
+            pairs.append((f, g))
+        elif kind == 2:
+            re, im = stability._rotated_parts(ints(rng.randint(2, 12)) + [lead()])
+            chain = [re, im]
+            while len(chain[-1]) > 1:
+                r, positive = int_pseudo_rem_reference(chain[-2], chain[-1])
+                if not r:
+                    break
+                chain.append(int_primitive([-c for c in r] if positive else r))
+            pairs += [(f, g) for f, g in zip(chain, chain[1:]) if g]
+        else:
+            pairs.append((ints(rng.randint(0, len(g) - 1)), g))
+    return pairs
+
+
+def test_int_pseudo_rem_matches_the_two_slice_reference():
+    pairs = _pseudo_rem_pairs(random.Random(2024), 2400)
+    seen = {"d": set(), "zero_top": 0, "negative": 0, "unit": 0, "parity_pure": 0}
+    for f, g in pairs:
+        before, want = (list(f), list(g)), int_pseudo_rem_reference(f, g)
+        assert int_pseudo_rem(f, g) == want, (f, g)
+        assert (f, g) == before
+        d = len(f) - len(g)
+        seen["d"].add(d)
+        seen["zero_top"] += d >= 0 and len(want[0]) < len(g) - 1
+        seen["negative"] += g[-1] < 0
+        seen["unit"] += abs(g[-1]) == 1
+        seen["parity_pure"] += len(f) > 2 and not any(f[-2::-2])
+    assert len(pairs) >= 2000
+    assert set(range(6)) <= seen["d"] and min(seen["d"]) < 0
+    assert min(seen[kind] for kind in seen if kind != "d") >= 100
 
 
 @given(p=polys, q=polys, r=polys)

@@ -255,16 +255,71 @@ def test_isolate_extreme_roots_matches_two_evaluation_reference(name, tol):
         assert isolate_extreme_roots(f, tol) == oracles.isolate_extreme_roots(f, tol), f
 
 
+def _real_line_inputs(rng: random.Random):
+    """(f, every zero real) for squarefree products, repeated real zeros,
+    repeated non-real pairs, x^m, constants and degree 1, each times a
+    non-zero rational."""
+    def rational():
+        return F(rng.randint(-12, 12), rng.randint(1, 6))
+
+    def scale():
+        return rational() or F(-7, 3)
+
+    for m in range(1, 7):
+        yield Poly.x() ** m * scale(), True
+    for _ in range(6):
+        yield Poly([scale()]), True
+        yield Poly([rational(), scale()]), True
+    for _ in range(60):
+        centres = {rational() for _ in range(rng.randint(1, 6))}
+        pairs = [(rational(), rational() or 1) for _ in range(rng.randint(0, 2))]
+        lines = [(Poly([-a, 1]), rng.choice([1, 1, 2, 3])) for a in centres]
+        quads = [(_factor("pair", a, b), rng.choice([1, 2])) for a, b in pairs]
+        for repeat in (False, True):
+            f = Poly([scale()])
+            for factor, mult in lines + quads:
+                f = f * factor ** (mult if repeat else 1)
+            yield f, not pairs
+
+
+def test_real_line_answers_match_the_divide_then_chain_reference():
+    tol, kinds = F(1, 1 << 16), set()
+    for f, real in _real_line_inputs(random.Random(2024)):
+        chain = oracles.sturm_chain_reference(f)
+        assert stability._sturm_chain(f) == chain, f
+        polys = [Poly(c) for c in chain]
+        v_minus = sign_variations_at_infinity(polys, "-inf")
+        v_plus = sign_variations_at_infinity(polys, "+inf")
+        assert all_roots_real(f) == (v_minus - v_plus == len(chain[0]) - 1) == real, f
+        if f.degree() > 1:  # repeated zeros: real only, or non-real too
+            repeated = polycore.gcd(f, f.derivative())
+            kinds.add((repeated.degree() > 0, real, all_roots_real(repeated)))
+        if v_minus == v_plus:
+            with pytest.raises(ValueError, match="no real roots"):
+                isolate_extreme_roots(f, tol)
+        else:
+            want = oracles.isolate_extreme_roots(f, tol)
+            assert isolate_extreme_roots(f, tol) == want, f
+    assert kinds == {
+        (False, True, True), (False, False, True),  # squarefree
+        (True, True, True), (True, False, True), (True, False, False),
+    }
+
+
 @pytest.mark.parametrize(
-    "f, tol",
+    "f, tol, shared_steps",
     [
-        (hermite(13)[13], F(1, 1 << 20)),
-        (P(-1, 0, 1), F(1, 3)),  # a midpoint lands on a root
-        (P(0, 0, 0, 1) * P(-1, 1) ** 3 * P(2, 1), F(1, 1 << 20)),
+        (hermite(13)[13], F(1, 1 << 20), 1),
+        (P(-1, 0, 1), F(1, 3), 1),  # a midpoint lands on a root
+        (P(0, 0, 0, 1) * P(-1, 1) ** 3 * P(2, 1), F(1, 1 << 20), 1),
+        # 3 and 6 share (-32, 32], (0, 32], (0, 16] and (0, 8]
+        (P(-3, 1) * P(-5, 1) * P(-6, 1), F(1, 1 << 20), 4),
+        (P(-1, 1) ** 2 * P(1, 0, 1), F(1, 1 << 20), 0),  # r = 1: one search
     ],
-    ids=["H_13", "x^2-1", "x^3(x-1)^3(x+2)"],
+    ids=["H_13", "x^2-1", "x^3(x-1)^3(x+2)", "(x-3)(x-5)(x-6)", "(x-1)^2(x^2+1)"],
 )
-def test_isolate_extreme_roots_evaluates_only_midpoints(monkeypatch, f, tol):
+def test_isolate_extreme_roots_evaluates_only_midpoints(
+        monkeypatch, f, tol, shared_steps):
     calls = []
     int_horner = stability.int_horner
 
@@ -279,19 +334,27 @@ def test_isolate_extreme_roots_evaluates_only_midpoints(monkeypatch, f, tol):
     counter = RealRootCounter(f)
     bound = root_bound(counter.squarefree)
     assert all(abs(x) != bound for _, x in calls)
+    # no point gets two whole-chain evaluations
+    whole = [x for g, x in calls if g == chain[-1]]
+    assert len(whole) == len(set(whole))
     # replay both searches from their results: each step evaluates at the
     # midpoint of its bracket, the whole chain while the target root shares
-    # the bracket and the squarefree part alone once the root is the only
-    # one in it, and a search ends at width <= tol or on the midpoint that
-    # is its root
-    rest, sign_only = iter(calls), 0
-    targets = (1, counter.count(None, None))
-    for j, (b_lo, b_hi) in zip(targets, (brackets[:2], brackets[2:])):
+    # the bracket (unless the first search did at the same midpoint) and the
+    # squarefree part alone once the root is the only one in it, and a
+    # search ends at width <= tol or on the midpoint that is its root; with
+    # one real root the first search's bracket is returned twice
+    rest, sign_only, shared, seen = iter(calls), 0, 0, set()
+    r = counter.count(None, None)
+    searches = zip((1, r), (brackets[:2], brackets[2:]))
+    for j, (b_lo, b_hi) in list(searches)[: 1 if r == 1 else 2]:
         lo, hi = -bound, bound
         while hi - lo > tol:
             mid = (lo + hi) / 2
             want = chain[:1] if counter.count(lo, hi) == 1 else chain
             sign_only += len(want) == 1
+            if len(want) > 1 and mid in seen:
+                want, shared = [], shared + 1
+            seen.add(mid)
             assert [next(rest) for _ in want] == [(g, mid) for g in want]
             if mid == b_hi and f(mid) == 0 and counter.count(None, mid) == j:
                 lo, hi = max(lo, mid - tol), mid
@@ -300,6 +363,9 @@ def test_isolate_extreme_roots_evaluates_only_midpoints(monkeypatch, f, tol):
         assert (lo, hi) == (b_lo, b_hi)
     assert next(rest, None) is None
     assert sign_only > 0
+    assert shared == shared_steps
+    if r == 1:
+        assert brackets[:2] == brackets[2:]
 
 
 class TestVerdicts:
