@@ -35,9 +35,9 @@ from math import factorial
 
 from . import expressions, sequences, stability
 from .expressions import reflect_shift, turan_diagonal
-from .polycore import Poly, int_horner
+from .polycore import Poly
 from .sequences import POLAR_SCALED, POLAR_UNIT, SequenceSpec
-from .stability import is_weakly_hurwitz, nonvanishing_halfplane
+from .stability import all_roots_real, is_weakly_hurwitz, nonvanishing_halfplane
 
 DEFAULT_SEED = 20240823
 
@@ -306,19 +306,14 @@ def verify_chebyshev_closed_forms(k_max: int, n_max: int) -> bool:
     return True
 
 
-def _only_nonpositive_real_roots(p: Poly) -> bool:
-    # every zero real and <= 0: Descartes' rule of signs is exact for a
-    # real-rooted p, so it has no positive zero iff no sign change
-    return stability.all_roots_real(p) and len({c > 0 for c in p.num if c}) == 1
-
-
 def verify_theorem_1_2(spec_or_seq, k_max: int) -> bool:
     """Check the stability/window claims for the three recurrence shapes.
 
     Type A (incl. Bell): the Turan expression shifted by -b is weakly
     Hurwitz stable.  Type H (incl. Hermite): the Turan expression does not
     vanish beyond rational brackets of the extreme zeros of P_{k+1}, on
-    both sides.  A plain polynomial list is treated as a downward-polar
+    both sides: beyond the inner bracket ends, so beyond the zeros
+    themselves.  A plain polynomial list is treated as a downward-polar
     sequence with non-positive zeros, whose Turan expressions must be
     weakly Hurwitz stable outright.
     """
@@ -332,12 +327,12 @@ def verify_theorem_1_2(spec_or_seq, k_max: int) -> bool:
         if spec.family in ("hermite", "type_h"):
             for k in range(k_max + 1):
                 expr = expressions.turan(seq, k)
-                m_lo, _, _, M_hi = stability.isolate_extreme_roots(
+                _, m_hi, M_lo, _ = stability.isolate_extreme_roots(
                     seq[k + 1], EXTREME_ROOT_TOL
                 )
-                if not nonvanishing_halfplane(expr, M_hi, left=False):
+                if not nonvanishing_halfplane(expr, M_lo, left=False):
                     return False
-                if not nonvanishing_halfplane(expr, m_lo, left=True):
+                if not nonvanishing_halfplane(expr, m_hi, left=True):
                     return False
             return True
         raise ValueError(
@@ -348,29 +343,29 @@ def verify_theorem_1_2(spec_or_seq, k_max: int) -> bool:
         raise ValueError("sequence too short")
     if not sequences.verify_relation(seq, POLAR_UNIT):
         raise ValueError("sequence does not satisfy the downward polar relation")
-    if not all(_only_nonpositive_real_roots(p) for p in seq):
+    # every zero real and none with Re > 0: every zero real and <= 0
+    if not all(all_roots_real(p) and is_weakly_hurwitz(p).verdict for p in seq):
         raise ValueError("sequence members must have only non-positive zeros")
     records = _decide_grid("polar_unit", seq, k_max, 1, False, Fraction(0), 1)
     return all(r.verdict for r in records)
 
 
 def verify_legendre_turan(k_max: int) -> bool:
-    """Turan expressions of the Legendre polynomials are >= 0 on the exact
-    grid {j/50 : j = -50..50}, vanishing exactly at +-1."""
+    """Turan's inequality for the Legendre polynomials, proved for k <= k_max:
+    T_k = (1 - x^2) q_k exactly, q_k has no real zero and q_k(0) > 0, so
+    T_k > 0 on (-1, 1), T_k = 0 at +-1 and T_k < 0 outside."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     seq = sequences.legendre(k_max + 2)
-    grid = [Fraction(j, 50) for j in range(-50, 51)]
+    base = Poly([1, 0, -1])  # 1 - x^2
     for k in range(k_max + 1):
-        expr = expressions.turan(seq, k)
-        for x in grid:
-            # q^d * den * expr(p/q) with q, den > 0: the sign of expr(x)
-            value = int_horner(expr.num, x.numerator, x.denominator)
-            if abs(x) == 1:
-                if value != 0:
-                    return False
-            elif value <= 0:
-                return False
+        try:
+            q = expressions.turan(seq, k).exact_div(base)
+        except ValueError:  # 1 - x^2 does not divide T_k
+            return False
+        # q(0) first: it also turns away q = 0, which has no Sturm chain
+        if q(0) <= 0 or stability._real_zero_count(q)[2] != 0:
+            return False
     return True
 
 

@@ -20,7 +20,7 @@ interlacing (``interlace_check``), by the Hermite-Biehler theorem.
 
 The real-line questions (is the gcd real-rooted, where do the extreme
 zeros of a polynomial lie) use the classical Sturm chain of its
-squarefree part instead (``_sturm_chain``), found from gcd(f, f'): a
+squarefree part instead (``_real_zero_count``), found from gcd(f, f'): a
 squarefree f is its own, so its chain is that of (f, f'), undivided.  A
 Routh-certified verdict (below) asks none: its gcd is x^m.
 
@@ -310,9 +310,10 @@ def _routh_data(num: IntPoly):
 
 # -- real-root machinery ----------------------------------------------
 
-def _sturm_chain(f: Poly) -> list[IntPoly]:
-    """Integer Sturm chain of the squarefree part s = f / gcd(f, f') of f:
-    s, s', ... (s is not made monic: a scale of s scales the whole chain).
+def _real_zero_count(f: Poly) -> tuple[list[IntPoly], int, int]:
+    """(chain, V(-inf), V(-inf) - V(+inf)) for the integer Sturm chain of
+    the squarefree part s = f / gcd(f, f') of f: s, s', ... (s is not made
+    monic: a scale of s scales the whole chain).
 
     V(-inf) - V(+inf) along it is the number of distinct real zeros of f,
     and V(-inf) - V(x) the number at or below x.
@@ -322,16 +323,18 @@ def _sturm_chain(f: Poly) -> list[IntPoly]:
     df = f.derivative()
     g = polycore.gcd(f, df)
     if len(g.num) == 1:  # f is squarefree: s = f
-        return _int_chain(f.num, df.num)
-    s = f.exact_div(g)
-    return _int_chain(s.num, s.derivative().num)
+        chain = _int_chain(f.num, df.num)
+    else:
+        s = f.exact_div(g)
+        chain = _int_chain(s.num, s.derivative().num)
+    v_plus, v_minus = _end_variations(chain)
+    return chain, v_minus, v_minus - v_plus
 
 
 def all_roots_real(f: Poly) -> bool:
     """True iff every zero of f is real (multiplicities collapse first)."""
-    chain = _sturm_chain(f)
-    v_plus, v_minus = _end_variations(chain)
-    return v_minus - v_plus == len(chain[0]) - 1
+    chain, _, r = _real_zero_count(f)
+    return r == len(chain[0]) - 1
 
 
 def _root_bound(f: IntPoly) -> int:
@@ -379,9 +382,7 @@ def isolate_extreme_roots(
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    chain = _sturm_chain(f)
-    v_plus, v_minus = _end_variations(chain)
-    r = v_minus - v_plus
+    chain, v_minus, r = _real_zero_count(f)
     if r == 0:
         raise ValueError("polynomial has no real roots")
     s, bound = chain[0], _root_bound(chain[0])

@@ -110,8 +110,8 @@ def int_pseudo_rem_reference(f, g) -> tuple[list[int], bool]:
 
 
 def sturm_chain_reference(f: Poly) -> list[list[int]]:
-    """``stability._sturm_chain`` dividing f by gcd(f, f') whatever the gcd,
-    chained with ``int_pseudo_rem_reference``."""
+    """The chain of ``stability._real_zero_count`` dividing f by
+    gcd(f, f') whatever the gcd, chained with ``int_pseudo_rem_reference``."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no Sturm chain")
     s = f.exact_div(polycore.gcd(f, f.derivative()))

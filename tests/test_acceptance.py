@@ -80,15 +80,17 @@ def test_criterion_4_extended_turan_campaigns():
 
 
 def test_criterion_5_legendre_grid():
-    # Turan expressions >= 0 on {j/50}, zero exactly at +-1, k <= 20; < 1 min
+    # T_k = (1 - x^2) q_k exactly, q_k without real zeros and q_k(0) > 0,
+    # so T_k > 0 on (-1, 1) and zero exactly at +-1, k <= 20; < 1 min
     start = time.perf_counter()
     ok = harness.verify_legendre_turan(20)
-    report(5, "legendre grid nonnegativity", ok, start, 60.0)
+    report(5, "legendre turan sign proof", ok, start, 60.0)
 
 
 def test_criterion_6_hermite_windows():
     # extreme zeros of H_{k+1} bracketed to width 2^-20; the Turan
-    # expression is zero-free beyond the outer endpoints, k <= 12; < 2 min
+    # expression is zero-free beyond the inner endpoints, which lie at or
+    # inside the zeros, so beyond the zeros themselves, k <= 12; < 2 min
     start = time.perf_counter()
     assert EXTREME_ROOT_TOL == F(1, 2 ** 20)
     ok = harness.verify_theorem_1_2(sequences.spec("hermite"), 12)

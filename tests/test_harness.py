@@ -8,6 +8,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from turanstab.polycore import Poly, int_mul
 from turanstab.sequences import POLAR_UNIT
 
 from oracles import (
+    RealRootCounter,
     is_squarefree,
     oracle_agreement,
     random_squarefree_poly,
@@ -405,6 +407,22 @@ class TestSuites:
     def test_legendre_small(self):
         assert verify_legendre_turan(8)
 
+    def test_legendre_proof_holds_to_the_full_tier(self):
+        # past the suite's k <= 20, to k <= 50; about 0.6 s
+        assert verify_legendre_turan(50)
+
+    @pytest.mark.parametrize("t0", [
+        Poly([1, 1]),  # 1 - x^2 does not divide it
+        Poly([1, 0, -1]) * Poly([6, -5, 1]),  # q = (x - 2)(x - 3), q(0) > 0
+        Poly([1, 0, -1]) * Poly([-1, 0, -1]),  # q = -(x^2 + 1), no real zero
+        Poly(),  # q = 0
+    ], ids=["inexact", "real-zeros", "negative", "zero"])
+    def test_legendre_refutes_a_bad_expression(self, monkeypatch, t0):
+        # P_0 = 1, P_1 = 0, P_2 = -t0 give T_0 = P_1^2 - P_0 P_2 = t0
+        seq = [Poly.one(), Poly(), -t0, Poly.one()]
+        monkeypatch.setattr(sequences, "legendre", lambda k_max: seq)
+        assert verify_legendre_turan(1) is False
+
     def test_wronskian_strip_small(self):
         assert verify_wronskian_strip(20, seed=DEFAULT_SEED)
 
@@ -432,6 +450,26 @@ class TestSuites:
     def test_theorem_hermite_small(self):
         assert verify_theorem_1_2(sequences.spec("hermite"), 6)
 
+    def test_theorem_type_h_windows_start_inside_the_zeros(self, monkeypatch):
+        # the right window of T_k starts at or below the largest zero of
+        # P_{k+1} and the left one at or above its smallest, so a pass
+        # proves the claim beyond the zeros themselves
+        calls = []
+
+        def recording(f, tau, *, left):
+            calls.append(tau)
+            return stability.nonvanishing_halfplane(f, tau, left=left)
+
+        monkeypatch.setattr(harness, "nonvanishing_halfplane", recording)
+        spec = sequences.spec("hermite")
+        assert verify_theorem_1_2(spec, 6)
+        seq = sequences.generate(spec, 8)
+        assert len(calls) == 14
+        for k, (right, left) in enumerate(zip(calls[::2], calls[1::2])):
+            counter = RealRootCounter(seq[k + 1])
+            assert counter.count(right, None) >= 1, k
+            assert counter.count(None, left) >= 1, k
+
     @pytest.mark.parametrize("params", [(1, F(1, 2), 3), (F(1, 3), -2, F(-1, 2))])
     def test_theorem_asymmetric_type_h(self, params):
         # the zeros centre on b/a, not on 0 as Hermite's do, so the two
@@ -448,6 +486,21 @@ class TestSuites:
             verify_theorem_1_2(sequences.bell(10), 8)  # wrong polar relation
         with pytest.raises(ValueError):
             verify_theorem_1_2(polar_unit_sequence(3), 8)  # too short
+
+    @pytest.mark.parametrize("tops", [
+        [F(1, factorial(k)) for k in range(1, 11)],  # (x - 1)^k / k!
+        [0, 1, *[0] * 8],  # P_2 = x^2 + 1/2, P_3 = -x^2 - 1/6, ...
+    ], ids=["positive", "non-real"])
+    def test_theorem_rejects_polar_zeros_off_the_nonpositive_axis(self, tops):
+        # P_0 = 1 and (x D - k) P_k = P_{k-1}: x^j, j < k, takes the
+        # coefficient of P_{k-1} over j - k, and x^k the free tops[k - 1]
+        seq = [Poly.one()]
+        for k, top in enumerate(tops, 1):
+            prev = list(seq[-1].coeffs) + [0] * (k - len(seq[-1].coeffs))
+            seq.append(Poly([c / (j - k) for j, c in enumerate(prev)] + [top]))
+        assert sequences.verify_relation(seq, POLAR_UNIT)
+        with pytest.raises(ValueError, match="non-positive zeros"):
+            verify_theorem_1_2(seq, 8)
 
     def test_question_probe_reports_all_k(self):
         out = question_probe_jensen(5)

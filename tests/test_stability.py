@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -286,10 +287,10 @@ def test_real_line_answers_match_the_divide_then_chain_reference():
     tol, kinds = F(1, 1 << 16), set()
     for f, real in _real_line_inputs(random.Random(2024)):
         chain = oracles.sturm_chain_reference(f)
-        assert stability._sturm_chain(f) == chain, f
         polys = [Poly(c) for c in chain]
         v_minus = sign_variations_at_infinity(polys, "-inf")
         v_plus = sign_variations_at_infinity(polys, "+inf")
+        assert stability._real_zero_count(f) == (chain, v_minus, v_minus - v_plus), f
         assert all_roots_real(f) == (v_minus - v_plus == len(chain[0]) - 1) == real, f
         if f.degree() > 1:  # repeated zeros: real only, or non-real too
             repeated = polycore.gcd(f, f.derivative())
@@ -330,7 +331,7 @@ def test_isolate_extreme_roots_evaluates_only_midpoints(
     monkeypatch.setattr(stability, "int_horner", recording)
     brackets = isolate_extreme_roots(f, tol)
     monkeypatch.undo()
-    chain = stability._sturm_chain(f)
+    chain = stability._real_zero_count(f)[0]
     counter = RealRootCounter(f)
     bound = root_bound(counter.squarefree)
     assert all(abs(x) != bound for _, x in calls)
@@ -521,11 +522,11 @@ def test_product_of_linear_factors(roots):
 
 
 def _variations_of_library_chain(f, x):
-    """Sign changes at x along ``stability._sturm_chain(f)``, each element
-    evaluated the way ``isolate_extreme_roots`` does."""
+    """Sign changes at x along the chain of ``stability._real_zero_count``,
+    each element evaluated the way ``isolate_extreme_roots`` does."""
     x = F(x)
     values = [polycore.int_horner(g, x.numerator, x.denominator)
-              for g in stability._sturm_chain(f)]
+              for g in stability._real_zero_count(f)[0]]
     run = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(run, run[1:]) if a != b)
 
@@ -603,8 +604,9 @@ def test_real_root_answers_match_the_interval_counter(case):
     counter = RealRootCounter(f)
     distinct = counter.squarefree.degree()
     assert all_roots_real(f) == real == (counter.count(None, None) == distinct)
-    # the coefficient-sign rule against the count on (-inf, 0]
-    assert harness._only_nonpositive_real_roots(f) == (
+    # the non-positive-zeros check of the polar suite against the count
+    # on (-inf, 0]
+    assert (real and is_weakly_hurwitz(f).verdict) == (
         counter.count(None, 0) == distinct
     )
 
@@ -928,13 +930,13 @@ def _wide(f):
 
 def _hermite_windows():
     """The thm12 type-H inputs: each Hermite Turan expression moved to the
-    brackets of the extreme zeros of P_{k+1}, on both sides."""
+    inner bracket ends of the extreme zeros of P_{k+1}, on both sides."""
     seq = sequences.hermite(14)
     for k in range(13):
         expr = expressions.turan(seq, k)
-        m_lo, _, _, M_hi = isolate_extreme_roots(seq[k + 1], harness.EXTREME_ROOT_TOL)
-        yield (k, "right"), expr.compose_linear(1, M_hi)
-        yield (k, "left"), expr.compose_linear(-1, m_lo)
+        _, m_hi, M_lo, _ = isolate_extreme_roots(seq[k + 1], harness.EXTREME_ROOT_TOL)
+        yield (k, "right"), expr.compose_linear(1, M_lo)
+        yield (k, "left"), expr.compose_linear(-1, m_hi)
 
 
 def test_routh_certifies_every_hermite_window():
@@ -1204,3 +1206,59 @@ def test_routh_rows_agree_with_the_exact_table_at_every_precision():
             seen.add((kind, got))
     # both rules are exercised
     assert {("stable", True), ("hair", False)} <= seen
+
+
+def _traced_routh_rows(h, bits):
+    """``stability._routh_rows(h, bits)`` and what it formed, read off its
+    frame by a line tracer: (answer, rows, mus), rows[i] the entries
+    (lo, hi, e) of table row i (the last one partial if the kernel left
+    during it) and mus[i] = (mu_lo, dmu, mu_e), the enclosure of
+    r_i[0] / r_{i+1}[0].  Nothing in the kernel is changed to expose them."""
+    code = stability._routh_rows.__code__
+    rows, mus = [], {}
+
+    def local(frame, event, arg):
+        loc = frame.f_locals
+        if "row" not in loc:  # the two initial rows are not built yet
+            return local
+        if not rows:
+            rows.append(loc["prev"])
+        if loc["row"] is not rows[-1]:
+            rows.append(loc["row"])
+        # between new = [] and the shift of the rows: mu is this row's
+        if "new" in loc and loc["new"] is not loc["row"]:
+            mus[len(rows) - 2] = loc["mu_lo"], loc["dmu"], loc["mu_e"]
+            if event == "return":
+                rows.append(loc["new"])
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        answer = stability._routh_rows(h, bits)
+    finally:
+        sys.settrace(previous)
+    return answer, rows, mus
+
+
+@pytest.mark.parametrize("bits", [8, 16, 40])
+def test_routh_rows_enclose_the_exact_table(bits):
+    # every entry [lo, hi] 2^e the kernel forms holds the exact entry of
+    # the classical table, and every mu enclosure the exact ratio, so a
+    # rounding turned the wrong way shows even where the answer survives
+    entries = ratios = 0
+    for kind, h in _routh_oracle_cases():
+        table = oracles.routh_table(h)
+        answer, rows, mus = _traced_routh_rows(h, bits)
+        assert answer == stability._routh_rows(h, bits)
+        if answer:
+            assert len(rows) == len(h) and len(mus) == len(h) - 2
+        for i, (row, exact) in enumerate(zip(rows, table)):
+            for (lo, hi, e), x in zip(row, exact):
+                assert lo * F(2) ** e <= x <= hi * F(2) ** e, (kind, bits, i)
+                entries += 1
+        for i, (mu_lo, dmu, e) in mus.items():
+            mu = table[i][0] / table[i + 1][0]
+            assert mu_lo * F(2) ** e <= mu <= (mu_lo + dmu) * F(2) ** e, (kind, bits, i)
+            ratios += 1
+    assert entries > 1000 and ratios > 90
