@@ -158,9 +158,6 @@ def cmd_verify(args) -> int:
         passed = _SUITES[name](args.seed)
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
         ok = ok and passed
-    if args.suite in ("jensen", "all"):
-        for k, verdict in harness.question_probe_jensen(10):
-            print(f"jensen probe (open question): k={k} stable={verdict}")
     return 0 if ok else 1
 
 
@@ -220,9 +217,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value that starts with "-" and is not a plain number,
+# such as -1,1 or -1/2, as an option; these flags take the next argument
+# as their value, whatever it starts with
+_VALUE_FLAGS = ("--poly", "--params", "--shift")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """``argv`` with each ``FLAG VALUE`` of a value flag as ``FLAG=VALUE``."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in _VALUE_FLAGS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

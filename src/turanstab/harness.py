@@ -4,8 +4,7 @@ The campaigns sweep extended Turan expressions of a family over a
 (k, n) grid and record the exact stability verdict of every cell.  The
 unit of work is one anti-diagonal k + n = t of the grid: its cells share
 the products P_{t-i} P_{t+i}, so ``expressions.turan_diagonal`` builds
-all their expressions at once from the window P_{t-top} .. P_{t+top}
-(top the largest n on the diagonal).  Each expression is then reflected
+all their expressions at once.  Each expression is then reflected
 and shifted by ``expressions.reflect_shift`` as the campaign asks and
 decided with ``stability.is_weakly_hurwitz``.  With ``jobs`` > 1 the
 diagonals are dealt into shares: the calling process decides the first
@@ -16,7 +15,7 @@ conjectured a flag would be a counterexample to a published claim; for
 another it may be expected (the Chebyshev T expressions are multiples
 of (1 - x^2)^n, which vanishes at x = 1).  The suites that decide a
 column of Turan expressions (type A and the polar sequence of Theorem
-1.2, reflected Laguerre, the Jensen probe) run the same grid at n = 1.
+1.2, reflected Laguerre) run the same grid at n = 1.
 
 Two tiers bound the sweep ranges: desk (k <= 25, n <= 3) is the everyday
 gate, full (k <= 50, n <= 5) reproduces the long verification runs.
@@ -93,14 +92,14 @@ def _diagonals(k_max: int, n_max: int):
         yield t, tuple(range(max(1, t - k_max), min(n_max, t) + 1))
 
 
-def _run_diagonal(unit) -> list[ReportRecord]:
-    """The records of one diagonal's cells.  A cell's ``elapsed_ms`` is its
-    own reflect/shift and verdict time plus an equal share of the
-    diagonal's build, so the cell times add up to the work done."""
-    family, t, ns, window, reflect, shift = unit
+def _run_diagonal(family: str, seq: list[Poly], t: int, ns, reflect: bool,
+                  shift: Fraction) -> list[ReportRecord]:
+    """The records of the cells (t - n, n), n in ``ns``, of ``seq``.  A
+    cell's ``elapsed_ms`` is its own reflect/shift and verdict time plus an
+    equal share of the diagonal's build, so the cell times add up to the
+    work done."""
     start = time.perf_counter()
-    # window holds P_{t-top} .. P_{t+top}, so the diagonal sits at index top
-    exprs = turan_diagonal(window, ns[-1], ns)
+    exprs = turan_diagonal(seq, t, ns)
     share_ms = (time.perf_counter() - start) * 1000.0 / len(ns)
     records = []
     for n, expr in zip(ns, exprs):
@@ -145,21 +144,24 @@ def _decide_grid(family: str, seq: list[Poly], k_max: int, n_max: int,
     """The records of every cell k <= k_max, 1 <= n <= n_max of ``seq``,
     which must reach index k_max + 2 n_max, in (k, n) order.
 
-    The unit of work is one anti-diagonal k + n = t with its window of
-    the sequence and its cells, so each product P_{t-i} P_{t+i} is formed
-    once for all of them.  The diagonals are dealt heaviest first (largest
-    t, so largest degree 2t) into one share per worker: at most ``jobs``,
-    one per diagonal and one per CPU this process may run on, and one
-    where the platform cannot fork.  This process decides share 0 and a
-    forked child each other share (``_decide_shares``).  The records are
-    put back in (k, n) order, so they do not depend on ``jobs``.
+    The unit of work is one anti-diagonal (t, ns), k + n = t, so each
+    product P_{t-i} P_{t+i} is formed once for all its cells.  The
+    diagonals are dealt heaviest first (largest t, so largest degree 2t)
+    into one share per worker: at most ``jobs``, one per diagonal and one
+    per CPU this process may run on, and one where the platform cannot
+    fork.  This process decides share 0 and a forked child each other
+    share (``_decide_shares``); a child inherits ``seq`` and the other
+    arguments with its share.  The records are put back in (k, n) order,
+    so they do not depend on ``jobs``.
     """
-    units = []
-    for t, ns in _diagonals(k_max, n_max):
-        window = seq[t - ns[-1] : t + ns[-1] + 1]
-        units.append((family, t, ns, window, reflect, shift))
+    units = list(_diagonals(k_max, n_max))
     workers = min(jobs, len(units), _usable_cpus()) if hasattr(os, "fork") else 1
-    records = _decide_shares(_deal(units, workers))
+
+    def run_share(share):
+        return [rec for t, ns in share
+                for rec in _run_diagonal(family, seq, t, ns, reflect, shift)]
+
+    records = _decide_shares(_deal(units, workers), run_share)
     return sorted(records, key=ReportRecord.sort_key)
 
 
@@ -174,17 +176,17 @@ def _deal(units: list, workers: int) -> list[list]:
     return shares
 
 
-def _decide_shares(shares: list[list]) -> list[ReportRecord]:
-    """The records of every share's diagonals.  Share 0 runs in this
-    process and each other share in a child forked for it, which inherits
-    its diagonals, so no input is pickled.  A child pickles its records,
-    or the exception it raised, to a pipe and always leaves through
-    ``os._exit``, so it never returns into the caller.  A fork copies only
-    the calling thread, and a child runs only the verdict code and pickle,
-    which take no lock another thread could hold.  This process reads
-    every pipe, then reaps every child; if its own share raised or it was
-    interrupted it kills the children first.  A child's exception is
-    raised again here.
+def _decide_shares(shares: list[list], run_share) -> list[ReportRecord]:
+    """The records ``run_share(share)`` of every share.  Share 0 runs in
+    this process and each other share in a child forked for it, which
+    inherits its diagonals, so no input is pickled.  A child pickles its
+    records, or the exception it raised, to a pipe and always leaves
+    through ``os._exit``, so it never returns into the caller.  A fork
+    copies only the calling thread, and a child runs only the verdict code
+    and pickle, which take no lock another thread could hold.  This
+    process reads every pipe, then reaps every child; if its own share
+    raised or it was interrupted it kills the children first.  A child's
+    exception is raised again here.
     """
     # imported here: start-up, which runs no campaign, need not load them
     import pickle
@@ -201,7 +203,7 @@ def _decide_shares(shares: list[list]) -> list[ReportRecord]:
                     status = 1
                     try:
                         try:
-                            outcome = True, _run_share(share)
+                            outcome = True, run_share(share)
                         except BaseException as exc:
                             outcome = False, exc
                         with os.fdopen(write_fd, "wb") as pipe:
@@ -212,7 +214,7 @@ def _decide_shares(shares: list[list]) -> list[ReportRecord]:
             finally:
                 os.close(write_fd)
             pids.append(pid)
-        records = _run_share(shares[0])
+        records = run_share(shares[0])
         payloads = [pipe.read() for pipe in pipes]
     except BaseException:
         for pid in pids:
@@ -230,10 +232,6 @@ def _decide_shares(shares: list[list]) -> list[ReportRecord]:
             raise result
         records += result
     return records
-
-
-def _run_share(share: list) -> list[ReportRecord]:
-    return [rec for unit in share for rec in _run_diagonal(unit)]
 
 
 def emit_reports(records: list[ReportRecord], path, with_timing: bool = False) -> None:
@@ -413,19 +411,4 @@ def verify_jensen_laguerre_relations(k_max: int, seed: int = DEFAULT_SEED) -> bo
             return False
     records = _decide_grid("laguerre", lag, k_max, 1, True, Fraction(0), 1)
     return all(r.verdict for r in records)
-
-
-def question_probe_jensen(k_max: int) -> list[tuple[int, bool]]:
-    """Open-question probe: Turan stability verdicts for the Jensen
-    sequence of (1+x)^m, m = 16, a real-rooted source with non-positive
-    zeros.  Recorded, not asserted; the underlying question is open."""
-    # Taylor coefficients gamma_k = k! * C(m, k) of (1+x)^m
-    m = 16
-    gamma = [
-        Fraction(factorial(m), factorial(m - k)) if k <= m else Fraction(0)
-        for k in range(k_max + 3)
-    ]
-    seq = sequences.jensen(gamma, k_max + 2)
-    records = _decide_grid("jensen", seq, k_max, 1, False, Fraction(0), 1)
-    return [(r.k, r.verdict) for r in records]
 

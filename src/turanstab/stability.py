@@ -475,9 +475,7 @@ def nonvanishing_halfplane(f: Poly, tau: Scalar, *, left: bool) -> bool:
     return is_weakly_hurwitz(reflect_shift(f, left, -tau if left else tau)).verdict
 
 
-def interlace_check(
-    f: Poly, g: Poly, shared_root: Optional[Scalar] = None
-) -> bool:
+def interlace_check(f: Poly, g: Poly) -> bool:
     """Exact strict-interlacing check for f, g with deg(f) = deg(g) + 1.
 
     By the Hermite-Biehler theorem, f and g have real, simple, strictly
@@ -486,20 +484,16 @@ def interlace_check(
     on the numerators of f and g, positive multiples of them: the gcd must
     be constant (a common zero is a real zero of f + i*g) and the
     open-upper count 0 or deg(f).  A non-real, multiple or common zero
-    thus gives False.  With ``shared_root=r`` the check applies to
-    f/(x-r) and g/(x-r): the gcd read off the chain must be x - r, and
-    the quotient counted is the same.
+    thus gives False, so a pair with a known common factor, such as the
+    zero 0 of consecutive Bell polynomials, is checked with that factor
+    divided out (``Poly.exact_div``).
     """
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
     if f.degree() != g.degree() + 1:
         raise ValueError("need deg(f) = deg(g) + 1")
     p, common, _, _, _ = _halfplane_data(f.num, g.num)
-    common = int_primitive(common if common[-1] > 0 else [-c for c in common])
-    expected = [1]
-    if shared_root is not None:  # x - p/q has the numerators [-p, q]
-        expected = Poly([-Fraction(shared_root), 1]).num
-    return common == expected and p in (0, len(f.num) - len(common))
+    return len(common) == 1 and p in (0, f.degree())
 
 
 def cross_check_oracle(f: Poly) -> str:

@@ -20,7 +20,6 @@ from turanstab.harness import (
     EXTREME_ROOT_TOL,
     emit_reports,
     polar_unit_sequence,
-    question_probe_jensen,
     run_campaign,
     verify_chebyshev_closed_forms,
     verify_fisk_counterexample,
@@ -61,11 +60,11 @@ def spoil_diagonals(monkeypatch, here=None, in_child=None):
     and ``in_child`` with those of every diagonal a forked child builds."""
     parent, build = os.getpid(), harness.turan_diagonal
 
-    def spoiled(window, top, ns):
+    def spoiled(seq, t, ns):
         action = here if os.getpid() == parent else in_child
         if action is not None:
             action(ns)
-        return build(window, top, ns)
+        return build(seq, t, ns)
 
     monkeypatch.setattr(harness, "turan_diagonal", spoiled)
 
@@ -146,9 +145,9 @@ class TestCampaign:
         assert reports[0] == reports[1]
 
     def test_counterexample_flagging(self, monkeypatch):
-        def spoiler(window, t, ns):
+        def spoiler(seq, t, ns):
             # plant a right-half-plane root to exercise the flag path
-            built = expressions.turan_diagonal(window, t, ns)
+            built = expressions.turan_diagonal(seq, t, ns)
             return [expr * Poly([-1, 1]) for expr in built]
 
         monkeypatch.setattr(harness, "turan_diagonal", spoiler)
@@ -174,9 +173,9 @@ class TestCampaign:
             products.append(1)
             return int_mul(a, b)
 
-        def counting_diagonal(window, t, ns):
+        def counting_diagonal(seq, t, ns):
             before = len(products)
-            built = expressions.turan_diagonal(window, t, ns)
+            built = expressions.turan_diagonal(seq, t, ns)
             per_unit.append((ns, len(products) - before))
             return built
 
@@ -228,12 +227,12 @@ class TestCampaign:
         records = run_campaign(bell_cfg(k_max=6, n_max=3, jobs=2))
         [shares] = dealt
         assert len(shares) == 2 and len(forks) == 1
-        # a unit is one diagonal t = k + n with its cells (t - n, n); the
-        # shares take the diagonals t = 9, 8, ..., 1 in turn 0, 1, 1, 0, ...
-        assert [[unit[1] for unit in share] for share in shares] == [
+        # a unit is one diagonal (t, ns), t = k + n, with its cells (t - n, n);
+        # the shares take t = 9, 8, ..., 1 in turn 0, 1, 1, 0, ...
+        assert [[t for t, _ in share] for share in shares] == [
             [9, 6, 5, 2, 1], [8, 7, 4, 3],
         ]
-        cells = [(t - n, n) for share in shares for _, t, ns, *_ in share for n in ns]
+        cells = [(t - n, n) for share in shares for t, ns in share for n in ns]
         assert sorted(cells) == [(k, n) for k in range(7) for n in range(1, 4)]
         keys = [(r.k, r.n) for r in records]
         assert keys == sorted(keys) and len(keys) == 7 * 3
@@ -501,11 +500,6 @@ class TestSuites:
         assert sequences.verify_relation(seq, POLAR_UNIT)
         with pytest.raises(ValueError, match="non-positive zeros"):
             verify_theorem_1_2(seq, 8)
-
-    def test_question_probe_reports_all_k(self):
-        out = question_probe_jensen(5)
-        assert [k for k, _ in out] == list(range(6))
-        assert all(isinstance(v, bool) for _, v in out)
 
     def test_extreme_root_tol_pinned(self):
         assert EXTREME_ROOT_TOL == F(1, 1 << 20)

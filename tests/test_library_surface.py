@@ -6,11 +6,11 @@ itself, the demos or the benchmark.  Re-exports in ``__init__.py`` and a
 function's references to itself do not count.  Reference implementations
 that only tests call belong in ``tests/oracles.py``.  Likewise every
 defaulted parameter of a public function or method must be set by some
-call there or in the acceptance gate; one that only tests set is a
-constant.  And no module but ``__init__.py`` imports a name it never
-reads, so a dead import can neither keep a name referenced nor outlive
-the code that used it.  Only ``expressions.reflect_shift`` calls
-``compose_linear``, so there is one reflect/shift path.
+call there; one that only tests set is a constant.  And no module but
+``__init__.py`` imports a name it never reads, so a dead import can
+neither keep a name referenced nor outlive the code that used it.
+Only ``expressions.reflect_shift`` calls ``compose_linear``, so there is
+one reflect/shift path.
 """
 
 import ast
@@ -79,11 +79,6 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert unused == [], f"public names only tests call: {unused}"
 
 
-# callers whose arguments count as a use of a defaulted parameter: the
-# acceptance gate sets interlace_check(..., shared_root=0) (criterion 8)
-SETTERS = CALLERS + [ROOT / "tests" / "test_acceptance.py"]
-
-
 def _defaulted(qualname, fn, skip):
     """(qualname.parameter, function name, position) of each defaulted
     parameter of fn; position is None for a keyword-only parameter, and
@@ -114,7 +109,7 @@ def _arguments_set():
     """For each called name, the most positional arguments any call passes
     and the keywords any call passes; a starred argument sets them all."""
     positional, keywords = {}, {}
-    for path in SETTERS:
+    for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
@@ -132,7 +127,7 @@ def test_every_defaulted_parameter_is_set_outside_tests():
     """A default that no caller overrides is a constant in disguise."""
     positional, keywords = _arguments_set()
     params = list(_defaulted_parameters())
-    assert "stability.interlace_check.shared_root" in [q for q, _, _ in params]
+    assert "harness.emit_reports.with_timing" in [q for q, _, _ in params]
     unset = []
     for qualname, name, position in params:
         parameter = qualname.rsplit(".", 1)[1]

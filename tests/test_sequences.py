@@ -243,5 +243,8 @@ class TestStructuralInvariants:
                 assert stability.all_roots_real(q)
                 assert RealRootCounter(q).count(0, None) == 0
                 assert q(0) != 0
+        # consecutive members share the zero 0, and interlace once it is
+        # divided out: quotients[k - 1] is seq[k] / x
         for k in range(2, 15):
-            assert stability.interlace_check(seq[k], seq[k - 1], shared_root=0)
+            assert not stability.interlace_check(seq[k], seq[k - 1])
+            assert stability.interlace_check(quotients[k - 1], quotients[k - 2])

@@ -469,10 +469,13 @@ class TestInterlace:
         assert not interlace_check(P(0, 1) * P(-1, 1), P(0, 1))
 
     def test_shared_root_divided_out(self):
-        f = P(0, 1) * P(1, 1) * P(-1, 1)
-        g = P(0, 1) * P(F(1, 2), 1)
-        assert interlace_check(f, g, shared_root=0)
-        assert not interlace_check(f, g, shared_root=1)
+        # f and g share the zero 0, so the pair fails; divided by x, the
+        # zeros -1, 1 of f and -1/2 of g interlace
+        x = P(0, 1)
+        f = x * P(1, 1) * P(-1, 1)
+        g = x * P(F(1, 2), 1)
+        assert not interlace_check(f, g)
+        assert interlace_check(f.exact_div(x), g.exact_div(x))
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
@@ -483,9 +486,8 @@ class TestInterlace:
         # non-real zero in f or in g is a plain False
         assert not interlace_check(P(1, 0, 1), P(0, 1))
         assert not interlace_check(P(0, 1) * P(-1, 1) * P(-2, 1), P(1, 0, 1))
-        assert not interlace_check(
-            P(0, 1) * P(1, 0, 1), P(0, 1) * P(0, 1), shared_root=0
-        )
+        # and with the common zero 0 as well
+        assert not interlace_check(P(0, 1) * P(1, 0, 1), P(0, 1) * P(0, 1))
 
     def test_multiple_root_fails(self):
         assert not interlace_check(P(0, 1) * P(0, 1) * P(1, 1), P(0, 1) * P(2, 1))
@@ -809,12 +811,16 @@ def test_interlace_matches_isolation_reference(case):
 @settings(max_examples=100, deadline=None)
 @given(case=_rooted_pair(), data=st.data())
 def test_shared_root_leaves_the_answer_unchanged(case, data):
-    # gcd(f (x - r), g (x - r)) = (x - r) gcd(f, g), so the quotient that is
-    # counted is the same; r is free or a root of f or of g
+    # a common factor L = (x - r), or (x - r)(x^2 + c) with c > 0, is a
+    # common zero, so the pair fails; divided out exactly, it gives the
+    # answer of (f, g).  r is free or a root of f or of g.
     f, g, _, f_roots, g_roots = case
     r = data.draw(st.one_of(_rationals, st.sampled_from(f_roots + g_roots)))
-    linear = Poly([-r, 1])
-    got = interlace_check(f * linear, g * linear, shared_root=r)
+    c = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=7))
+    shared = Poly([-r, 1]) * (Poly([c, 0, 1]) if c else Poly.one())
+    assert not interlace_check(f * shared, g * shared)
+    got = interlace_check((f * shared).exact_div(shared),
+                          (g * shared).exact_div(shared))
     assert got == interlace_check(f, g)
 
 
