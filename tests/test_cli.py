@@ -157,6 +157,15 @@ class TestVerify:
         assert code == 0
         assert "legendre: PASS" in out
 
+    def test_jensen_probe_lines(self, capsys):
+        # the suite prints its PASS line only; the open-question probe of
+        # (1 + x)^16 is the jensen campaign golden, one line per k <= 10
+        assert run(capsys, "verify", "--suite", "jensen") == (0, "jensen: PASS\n")
+        lines = (GOLDEN / "jensen-binomial16-desk.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [(r["k"], r["n"]) for r in records] == [(k, 1) for k in range(11)]
+        assert all(r["verdict"] and not r["flagged"] for r in records)
+
     def test_seed_flag_accepted(self, capsys):
         code, out = run(capsys, "--seed", "123", "verify", "--suite", "wronskian")
         assert code == 0

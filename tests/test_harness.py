@@ -501,6 +501,20 @@ class TestSuites:
         with pytest.raises(ValueError, match="non-positive zeros"):
             verify_theorem_1_2(seq, 8)
 
+    def test_question_probe_reports_all_k(self):
+        # the Jensen polynomials of (1 + x)^16, gamma_k = 16!/(16 - k)!: a
+        # campaign reports a verdict for every k, the first 6 of the golden
+        gamma = [factorial(16) // factorial(16 - k) for k in range(8)]
+        cfg = CampaignConfig(family=sequences.spec("jensen", gamma),
+                             k_max=5, n_max=1)
+        records = run_campaign(cfg)
+        assert [(r.k, r.n) for r in records] == [(k, 1) for k in range(6)]
+        assert all(isinstance(r.verdict, bool) for r in records)
+        lines = (GOLDEN / "jensen-binomial16-desk.jsonl").read_text().splitlines()
+        golden = [json.loads(line) for line in lines[:6]]
+        assert [(r.verdict, r.degree) for r in records] == [
+            (g["verdict"], g["degree"]) for g in golden]
+
     def test_extreme_root_tol_pinned(self):
         assert EXTREME_ROOT_TOL == F(1, 1 << 20)
 
