@@ -15,6 +15,19 @@ is the one-cell case.  The extended Laguerre expression of one
 polynomial f is the extended Turan expression of its derivatives (f, f',
 ..., f^(2n)) at k = 0; its n = 1 case is the classical f'^2 - f f''.
 
+The products are Kronecker substitutions (Schoenhage 1982): each member
+of the window is packed once into the integer f(2^w) (``polycore._pack``),
+a product is one big-integer product, the binomial combination for each
+n is taken on the packed products, and each expression is unpacked once.
+The slot width w is chosen so that no coefficient of any combination
+reaches 2^(w-1) in size: with the sum of the weights' sizes 4^top, the
+bound is 4^top * length * max|coefficient|^2.  A window whose members
+are all even or odd, with every product even (Legendre, Hermite,
+Chebyshev), is packed at stride 2, on the coefficients of one parity
+only.  Members shorter than a crossover length multiply faster
+coefficient by coefficient, so such windows keep schoolbook ``int_mul``
+products, combined coefficient by coefficient.
+
 ``reflect_shift`` is the one path from an expression to the object a
 campaign cell, a verification suite or the ``turan`` command decides:
 reflected (x -> -x, used for Laguerre) and shifted (x -> x + shift, used
@@ -25,8 +38,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
-from .polycore import Poly, Scalar, int_mul
+from .polycore import Poly, Scalar, _pack, _unpack, int_mul
+
+# windows whose members are all shorter than this are multiplied by
+# schoolbook int_mul; longer ones packed (``polycore._pack``)
+_PACK_FROM = 14
 
 
 def turan(seq: list[Poly], k: int) -> Poly:
@@ -48,8 +67,10 @@ def turan_diagonal(seq: list[Poly], t: int, ns) -> list[Poly]:
 
     so the window P_{t-top} .. P_{t+top}, top = max(ns), is put over one
     denominator D, its top + 1 integer products Q_0 .. Q_top are formed
-    once, and each expression is one integer combination of them over
-    D^2 (2n)!.  The unfolded sum is kept in the tests as an oracle.
+    once, packed or by schoolbook as the module docstring says, and each
+    expression is one integer combination of them over D^2 (2n)!.  The
+    schoolbook diagonal and the unfolded sum are kept in the tests as
+    oracles.
     """
     if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
@@ -60,18 +81,66 @@ def turan_diagonal(seq: list[Poly], t: int, ns) -> list[Poly]:
         raise ValueError(f"sequence must reach index {t + top}")
     window = seq[t - top : t + top + 1]
     den = math.lcm(*(p.den for p in window))
-    nums = [[c * (den // p.den) for c in p.num] for p in window]
-    products = [int_mul(nums[top - i], nums[top + i]) for i in range(top + 1)]
-    out = []
+    nums = [p.num if p.den == den else [c * (den // p.den) for c in p.num]
+            for p in window]
+    if max(map(len, nums)) < _PACK_FROM:
+        products = list(map(int_mul, nums[top::-1], nums[top:]))
+        totals = []
+        for n in ns:
+            total = [0] * max(map(len, products[: n + 1]))
+            for w, q in zip(_weights(n), products):
+                for j, c in enumerate(q):
+                    total[j] += w * c
+            totals.append(total)
+    else:
+        totals = _packed_totals(nums, top, ns)
+    return [Poly.from_ints(total, den * den * math.factorial(2 * n))
+            for n, total in zip(ns, totals)]
+
+
+def _weights(n: int) -> list[int]:
+    """(2n)! times the weight of Q_i in T(t - n, n), i = 0..n; Q_i stands
+    for the terms at -i and +i alike."""
+    return [(-1) ** i * math.comb(2 * n, n + i) * (2 if i else 1) for i in range(n + 1)]
+
+
+def _packed_totals(nums: list[list[int]], top: int, ns) -> list[list[int]]:
+    """The numerators sum_i w_i Q_i of ``turan_diagonal`` for each n in
+    ``ns``, from the window's integer lists, on packed members."""
+    stride, members, lifts = _window_shape(nums, top)
+    # no total coefficient reaches 4^top * length * max|c|^2 in size
+    length = max(map(len, members))
+    big = max(map(abs, chain.from_iterable(members)), default=0)
+    nbytes = (2 * top + length.bit_length() + 2 * big.bit_length()) // 8 + 1
+    packed = [_pack(g, nbytes) for g in members]
+    products = [q << 8 * nbytes * lift for q, lift in
+                zip(map(mul, packed[top::-1], packed[top:]), lifts)]
+    totals = []
     for n in ns:
-        total = [0] * max(len(q) for q in products[: n + 1])
-        for i, q in enumerate(products[: n + 1]):
-            # Q_i stands for the terms at -i and +i alike
-            weight = (-1) ** i * math.comb(2 * n, n + i) * (2 if i else 1)
-            for j, c in enumerate(q):
-                total[j] += weight * c
-        out.append(Poly.from_ints(total, den * den * math.factorial(2 * n)))
-    return out
+        total = _unpack(sum(w * q for w, q in zip(_weights(n), products)), nbytes)
+        if stride == 2:
+            total, compact = [0] * (2 * len(total) - 1), total
+            total[::2] = compact
+        totals.append(total)
+    return totals
+
+
+def _window_shape(nums: list[list[int]], top: int):
+    """``(stride, members, lifts)`` with window member j equal to
+    x^p_j g_j(x^stride), g_j = ``members[j]``, and every product
+    Q_i = (x^stride)^lifts[i] (g_{top-i} g_{top+i})(x^stride).
+
+    The stride is 2 when every member is even or odd and the members top - i
+    and top + i are of one parity for every i, as in the Legendre, Hermite
+    and Chebyshev windows: every product is then even, and the members are
+    their coefficients of that parity, about half as many.  Otherwise it
+    is 1, and the members are the window itself.
+    """
+    parities = [0 if not any(f[1::2]) else 1 if not any(f[::2]) else None
+                for f in nums]
+    if None in parities or parities != parities[::-1]:
+        return 1, nums, [0] * (top + 1)
+    return 2, [f[p::2] for f, p in zip(nums, parities)], parities[top:]
 
 
 def extended_laguerre(f: Poly, n: int) -> Poly:

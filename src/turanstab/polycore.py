@@ -270,6 +270,35 @@ def int_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     return out
 
 
+# Kronecker substitution: an integer list f packs into the one integer
+# f(2^w), slot i holding f_i in w = 8 * nbytes bits.  Sums, integer
+# multiples and products of packed lists are the packed results, so one
+# big-integer product stands in for a whole schoolbook loop; a result
+# unpacks exactly while each of its coefficients is below 2^(w-1) in size.
+
+def _pack(f: Sequence[int], nbytes: int) -> int:
+    """f(2^w), w = 8 * nbytes, for |f_i| < 2^(w-1)."""
+    raw = int.from_bytes(
+        b"".join([c.to_bytes(nbytes, "little", signed=True) for c in f]), "little")
+    # a negative f_i reads as 2^w + f_i, one unit too much in slot i + 1;
+    # the top bit of slot i, its sign bit, marks it
+    signs = raw & int.from_bytes((bytes(nbytes - 1) + b"\x80") * len(f), "little")
+    return raw - (signs << 1)
+
+
+def _unpack(v: int, nbytes: int) -> IntPoly:
+    """The list f with f(2^w) = v, w = 8 * nbytes, given |f_i| < 2^(w-1)
+    for every i; its top entry is not zero unless v is 0, which gives [0]."""
+    # f_i, i the top slot, puts |v| in [2^(wi-1), 2^(wi+w-1))
+    length = abs(v).bit_length() // (8 * nbytes) + 1
+    raw = v.to_bytes(nbytes * length, "little", signed=True)
+    slots = [int.from_bytes(raw[i : i + nbytes], "little", signed=True)
+             for i in range(0, len(raw), nbytes)]
+    # read as signed, slot i holds f_i - 1 where the slots below it make
+    # a negative value, that is where slot i - 1 reads negative
+    return slots[:1] + [c + (below < 0) for below, c in zip(slots, slots[1:])]
+
+
 def int_horner(f: Sequence[int], p: int, q: int) -> int:
     """q^d * f(p/q) for an integer list f of degree d, by Horner's rule."""
     acc, q_pow = 0, 1

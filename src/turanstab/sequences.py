@@ -17,6 +17,11 @@ The downward "polar" maps (x*D - k) P_k = P_{k-1} and its scaled variant
 (k - x*D) P_k = k * P_{k-1} are verification targets, not generators,
 since they annihilate the top-degree term; ``verify_relation`` checks them.
 
+The first-order and three-term generators build each member as one
+integer list over one denominator and normalise it once
+(``Poly.from_ints``), so a step takes one gcd instead of one per
+intermediate polynomial.
+
 One table maps each family name to its generator and its parameters;
 ``spec`` checks a family's parameter count against it and builds P_0,
 so the generator checks the hypotheses above, and ``generate`` runs the
@@ -30,7 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import Poly
+from .polycore import Poly, int_mul
 
 POLAR_UNIT = "polar_unit"      # (x*D - k) P_k = P_{k-1}
 POLAR_SCALED = "polar_scaled"  # (k - x*D) P_k = k * P_{k-1}
@@ -39,10 +44,20 @@ POLAR_SCALED = "polar_scaled"  # (k - x*D) P_k = k * P_{k-1}
 # -- named family generators ------------------------------------------
 
 def _three_term(p1: Poly, alpha, beta, k_max: int) -> list[Poly]:
-    """P_0 = 1, P_1 = p1, P_{k+1} = alpha(k)*x*P_k - beta(k)*P_{k-1}."""
+    """P_0 = 1, P_1 = p1, P_{k+1} = alpha(k)*x*P_k - beta(k)*P_{k-1}; alpha
+    and beta give ints or Fractions."""
     seq = [Poly.one(), p1][: k_max + 1]
     for k in range(1, k_max):
-        seq.append(seq[-1].shift_x(1).scale(alpha(k)) - seq[-2].scale(beta(k)))
+        p, q, a, b = seq[-1], seq[-2], alpha(k), beta(k)
+        # a x P_k - b P_{k-1} over the lcm of their denominators
+        dp, dq = p.den * a.denominator, q.den * b.denominator
+        den = math.lcm(dp, dq)
+        ap, bq = a.numerator * (den // dp), b.numerator * (den // dq)
+        num = [0, *(ap * c for c in p.num)]
+        num.extend([0] * (len(q.num) - len(num)))
+        for i, c in enumerate(q.num):
+            num[i] -= bq * c
+        seq.append(Poly.from_ints(num, den))
     return seq
 
 
@@ -104,13 +119,16 @@ def jensen(gamma, k_max: int) -> list[Poly]:
             for n in range(k_max + 1)]
 
 
-def _first_order(m, ell, k_max: int) -> list[Poly]:
-    """P_0 = 1, P_{k+1} = m*(P_k' + ell(k)*P_k); m and each ell(k) are a
-    Poly or a scalar."""
+def _first_order(m: Poly, ells: list[Poly], k_max: int) -> list[Poly]:
+    """P_0 = 1, P_{k+1} = m*(P_k' + ells[k]*P_k) for non-zero ells."""
     seq = [Poly.one()]
-    for k in range(k_max):
+    for ell in ells[:k_max]:
         p = seq[-1]
-        seq.append(m * (p.derivative() + ell(k) * p))
+        # P_k' + ell P_k over p.den * ell.den
+        inner = int_mul(ell.num, p.num)
+        for i, c in enumerate(p.num[1:]):
+            inner[i] += (i + 1) * ell.den * c
+        seq.append(Poly.from_ints(int_mul(m.num, inner), p.den * ell.den * m.den))
     return seq
 
 
@@ -132,7 +150,7 @@ def type_a(a, b, c, k_max: int) -> list[Poly]:
             f"type_a needs {k_max} c values (c0..c{k_max - 1}), one per step; "
             f"got {len(c)}"
         )
-    return _first_order(Poly([a * b, a]), lambda k: c[k], k_max)
+    return _first_order(Poly([a * b, a]), [Poly([v]) for v in c[:k_max]], k_max)
 
 
 def type_h(a, b, c, k_max: int) -> list[Poly]:
@@ -143,8 +161,7 @@ def type_h(a, b, c, k_max: int) -> list[Poly]:
         raise ValueError("type_h requires a > 0")
     if c == 0:
         raise ValueError("type_h requires c != 0")
-    b_minus_ax = Poly([b, -a])
-    return _first_order(c, lambda k: b_minus_ax, k_max)
+    return _first_order(Poly([c]), [Poly([b, -a])] * k_max, k_max)
 
 
 # -- the family table -------------------------------------------------

@@ -4,12 +4,13 @@ They stay out of ``turanstab`` because no code of the package, its demos
 or its benchmark calls them.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from turanstab import polycore, stability
 from turanstab.harness import DEFAULT_SEED
-from turanstab.polycore import Poly, int_primitive, int_pseudo_rem
+from turanstab.polycore import Poly, int_mul, int_primitive, int_pseudo_rem
 from turanstab.stability import INCONCLUSIVE, STABLE, is_weakly_hurwitz
 
 
@@ -22,6 +23,50 @@ def squarefree_part(p: Poly) -> Poly:
     if p.is_zero:
         raise ValueError("the zero polynomial has no squarefree part")
     return p.exact_div(polycore.gcd(p, p.derivative())).monic()
+
+
+# -- the generators in Poly arithmetic ---------------------------------
+
+def first_order_reference(m: Poly, ells: list[Poly], k_max: int) -> list[Poly]:
+    """``sequences._first_order`` with each step in Poly arithmetic: P_0 = 1,
+    P_{k+1} = m*(P_k' + ells[k]*P_k)."""
+    seq = [Poly.one()]
+    for k in range(k_max):
+        p = seq[-1]
+        seq.append(m * (p.derivative() + ells[k] * p))
+    return seq
+
+
+def three_term_reference(p1: Poly, alpha, beta, k_max: int) -> list[Poly]:
+    """``sequences._three_term`` with each step in Poly arithmetic: P_0 = 1,
+    P_1 = p1, P_{k+1} = alpha(k)*x*P_k - beta(k)*P_{k-1}."""
+    seq = [Poly.one(), p1][: k_max + 1]
+    for k in range(1, k_max):
+        seq.append(seq[-1].shift_x(1).scale(alpha(k)) - seq[-2].scale(beta(k)))
+    return seq
+
+
+# -- the schoolbook diagonal ---------------------------------------------
+
+def turan_diagonal_schoolbook(seq: list[Poly], t: int, ns) -> list[Poly]:
+    """``expressions.turan_diagonal`` on plain integer lists: the window
+    over one denominator, each product Q_i = P_{t-i} P_{t+i} by ``int_mul``
+    and each expression combined coefficient by coefficient."""
+    top = max(ns)
+    window = seq[t - top : t + top + 1]
+    den = math.lcm(*(p.den for p in window))
+    nums = [[c * (den // p.den) for c in p.num] for p in window]
+    products = [int_mul(nums[top - i], nums[top + i]) for i in range(top + 1)]
+    out = []
+    for n in ns:
+        total = [0] * max(len(q) for q in products[: n + 1])
+        for i, q in enumerate(products[: n + 1]):
+            # Q_i stands for the terms at -i and +i alike
+            weight = (-1) ** i * math.comb(2 * n, n + i) * (2 if i else 1)
+            for j, c in enumerate(q):
+                total[j] += weight * c
+        out.append(Poly.from_ints(total, den * den * math.factorial(2 * n)))
+    return out
 
 
 # -- the type A and type H recurrences, each written out ----------------

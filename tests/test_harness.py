@@ -1,6 +1,7 @@
 """Campaign sweeps, JSONL reports and the verification suites."""
 
 import json
+import operator
 import os
 import random
 import subprocess
@@ -167,11 +168,15 @@ class TestCampaign:
                 assert not r.verdict and r.flagged and r.certificate == {}
 
     def test_each_diagonal_forms_its_products_once(self, monkeypatch):
+        # a product is one int_mul of two lists, or one mul of two packed
+        # members; the desk Bell campaign makes both kinds
         products, per_unit = [], []
 
-        def counting_mul(a, b):
-            products.append(1)
-            return int_mul(a, b)
+        def counting(kind, multiply):
+            def count(a, b):
+                products.append(kind)
+                return multiply(a, b)
+            return count
 
         def counting_diagonal(seq, t, ns):
             before = len(products)
@@ -179,7 +184,8 @@ class TestCampaign:
             per_unit.append((ns, len(products) - before))
             return built
 
-        monkeypatch.setattr(expressions, "int_mul", counting_mul)
+        monkeypatch.setattr(expressions, "int_mul", counting("lists", int_mul))
+        monkeypatch.setattr(expressions, "mul", counting("packed", operator.mul))
         monkeypatch.setattr(harness, "turan_diagonal", counting_diagonal)
         k_max, n_max = harness.TIER_LIMITS["desk"]
         run_campaign(bell_cfg(k_max=k_max, n_max=n_max))
@@ -190,6 +196,7 @@ class TestCampaign:
         # t = 1 and 2 make 2 and 3 products, t = 3..28 four each; building
         # each cell alone made n + 1, so 26 * (2 + 3 + 4) = 234
         assert len(products) == 2 + 3 + 26 * 4
+        assert set(products) == {"lists", "packed"}
 
     @pytest.mark.parametrize("affinity, cpus, workers", [
         pytest.param(8, 8, 3, id="8-3"),

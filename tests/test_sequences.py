@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from turanstab import stability
+from turanstab import sequences, stability
 from turanstab.harness import DEFAULT_SEED
 from turanstab.polycore import Poly
 from turanstab.sequences import (
@@ -28,7 +28,13 @@ from turanstab.sequences import (
     verify_relation,
 )
 
-from oracles import RealRootCounter, type_a_recurrence, type_h_recurrence
+from oracles import (
+    RealRootCounter,
+    first_order_reference,
+    three_term_reference,
+    type_a_recurrence,
+    type_h_recurrence,
+)
 
 
 def P(*coeffs):
@@ -99,6 +105,44 @@ class TestNamedFamilies:
     def test_members_to_degree_60_are_pinned(self, family):
         text = "".join(p.to_text() + "\n" for p in family(60))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS_60[family]
+
+
+class TestIntegerGenerators:
+    """The generators build each member as one integer list over one
+    denominator and normalise it once; the same recurrences in Poly
+    arithmetic give the same members."""
+
+    @pytest.mark.parametrize(
+        "family", [bell, hermite, chebyshev_t, chebyshev_u, laguerre, legendre, bessel],
+        ids=lambda f: f.__name__)
+    def test_named_families_to_k_120(self, family, monkeypatch):
+        got = family(120)
+        monkeypatch.setattr(sequences, "_first_order", first_order_reference)
+        monkeypatch.setattr(sequences, "_three_term", three_term_reference)
+        assert family(120) == got
+
+    def test_signed_rational_parameters(self):
+        # the type A shape m = a(x + b), ell_k = c_k and the type H shape
+        # m = c, ell_k = b - a x, with a, b and c of either sign, beyond
+        # what the families' hypotheses admit; and three-term recurrences
+        rng = random.Random(DEFAULT_SEED)
+
+        def rational():
+            return F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
+
+        k_max = 30
+        for _ in range(10):
+            a, b, c = rational(), rational(), rational()
+            cs = [Poly([rational()]) for _ in range(k_max)]
+            for m, ells in ((Poly([a * b, a]), cs), (Poly([c]), [Poly([b, -a])] * k_max)):
+                got = sequences._first_order(m, ells, k_max)
+                assert got == first_order_reference(m, ells, k_max)
+            alphas = [rational() for _ in range(k_max)]
+            betas = [rational() for _ in range(k_max)]
+            p1 = Poly([rational(), rational()])
+            got = sequences._three_term(p1, alphas.__getitem__, betas.__getitem__, k_max)
+            assert got == three_term_reference(p1, alphas.__getitem__,
+                                               betas.__getitem__, k_max)
 
 
 # a parameter list that breaks each family hypothesis, and the message
