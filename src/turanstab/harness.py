@@ -34,7 +34,7 @@ from math import factorial
 
 from . import expressions, sequences, stability
 from .expressions import reflect_shift, turan_diagonal
-from .polycore import Poly
+from .polycore import Poly, int_mul
 from .sequences import POLAR_SCALED, POLAR_UNIT, SequenceSpec
 from .stability import all_roots_real, is_weakly_hurwitz, nonvanishing_halfplane
 
@@ -351,7 +351,12 @@ def verify_theorem_1_2(spec_or_seq, k_max: int) -> bool:
 def verify_legendre_turan(k_max: int) -> bool:
     """Turan's inequality for the Legendre polynomials, proved for k <= k_max:
     T_k = (1 - x^2) q_k exactly, q_k has no real zero and q_k(0) > 0, so
-    T_k > 0 on (-1, 1), T_k = 0 at +-1 and T_k < 0 outside."""
+    T_k > 0 on (-1, 1), T_k = 0 at +-1 and T_k < 0 outside.
+
+    The zeros are counted on the one chain of (q, q'): it ends at
+    gcd(q, q') and V(-inf) - V(+inf) along it is the number of distinct
+    real zeros of q, squarefree or not, so q has none iff V(+inf) = V(-inf).
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     seq = sequences.legendre(k_max + 2)
@@ -361,8 +366,11 @@ def verify_legendre_turan(k_max: int) -> bool:
             q = expressions.turan(seq, k).exact_div(base)
         except ValueError:  # 1 - x^2 does not divide T_k
             return False
-        # q(0) first: it also turns away q = 0, which has no Sturm chain
-        if q(0) <= 0 or stability._real_zero_count(q)[2] != 0:
+        # q(0) first: it also turns away q = 0, which has no chain
+        if q(0) <= 0:
+            return False
+        _, _, _, v_plus, v_minus = stability._halfplane_data(q.num, q.derivative().num)
+        if v_plus != v_minus:
             return False
     return True
 
@@ -375,15 +383,19 @@ def random_rational(rng: random.Random) -> Fraction:
 
 def verify_wronskian_strip(samples: int, seed: int = DEFAULT_SEED) -> bool:
     """For random real-rooted polynomials with rational roots in [-1, 1],
-    the Wronskian f'^2 - f'' f has no zeros outside the strip |Re x| <= 1."""
+    the Wronskian f'^2 - f'' f has no zeros outside the strip |Re x| <= 1.
+
+    f = prod (x - r) is built on integer lists, as prod (den(r) x - num(r))
+    over prod den(r), and normalised once."""
     rng = random.Random(seed)
     for _ in range(samples):
         degree = rng.randint(1, 10)
-        poly = Poly.one()
+        num, den = [1], 1
         for _ in range(degree):
             root = random_rational(rng)
-            poly = poly * Poly([-root, 1])
-        w = expressions.wronskian(poly)
+            num = int_mul(num, [-root.numerator, root.denominator])
+            den *= root.denominator
+        w = expressions.wronskian(Poly.from_ints(num, den))
         if not nonvanishing_halfplane(w, 1, left=False):
             return False
         if not nonvanishing_halfplane(w, -1, left=True):

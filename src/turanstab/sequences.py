@@ -103,8 +103,9 @@ def bessel(k_max: int) -> list[Poly]:
 def jensen(gamma, k_max: int) -> list[Poly]:
     """Jensen polynomials g_n = sum_k C(n,k) gamma_k x^k for a gamma list.
 
-    The gammas are put over one denominator, so each member is built from
-    the integer numerators C(n,k) * gamma_k * den.
+    Member n is built from the integer numerators C(n,k) * gamma_k * den_n
+    over den_n, the lcm of the denominators of gamma_0..gamma_n only (n!
+    for Laguerre, not k_max!).
     """
     gamma = [Fraction(g) for g in gamma]
     if len(gamma) < k_max + 1:
@@ -112,11 +113,15 @@ def jensen(gamma, k_max: int) -> list[Poly]:
             f"jensen needs {k_max + 1} gamma values (gamma0..gamma{k_max}); "
             f"got {len(gamma)}"
         )
-    gamma = gamma[: k_max + 1]
-    den = math.lcm(*(g.denominator for g in gamma))
-    nums = [g.numerator * (den // g.denominator) for g in gamma]
-    return [Poly.from_ints([math.comb(n, k) * nums[k] for k in range(n + 1)], den)
-            for n in range(k_max + 1)]
+    seq, den, nums = [], 1, []  # nums: gamma_0..gamma_n times den
+    for n, g in enumerate(gamma[: k_max + 1]):
+        step = math.lcm(den, g.denominator) // den
+        if step != 1:
+            den *= step
+            nums = [c * step for c in nums]
+        nums.append(g.numerator * (den // g.denominator))
+        seq.append(Poly.from_ints([math.comb(n, k) * c for k, c in enumerate(nums)], den))
+    return seq
 
 
 def _first_order(m: Poly, ells: list[Poly], k_max: int) -> list[Poly]:
@@ -252,12 +257,19 @@ def verify_relation(seq: list[Poly], relation: str) -> bool:
     (k - x*D) P_k = k * P_{k-1}.  Member degrees are not checked, so a
     Jensen sequence whose degree drops where a gamma vanishes is checked
     like any other.
+
+    Both are (x*D - k) P_k = m * P_{k-1}, m = 1 or -k, compared on the
+    numerators over den(P_k) * den(P_{k-1}): coefficient j of the left
+    side is (j - k) * P_k[j] * den(P_{k-1}), of the right side
+    m * P_{k-1}[j] * den(P_k).
     """
     if relation not in (POLAR_UNIT, POLAR_SCALED):
         raise ValueError(f"unknown relation {relation!r}")
-    # (k - x*D) P_k = k * P_{k-1} is (x*D - k) P_k = -k * P_{k-1}
-    return all(
-        p.derivative().shift_x(1) - p.scale(k)
-        == (prev if relation == POLAR_UNIT else prev.scale(-k))
-        for k, (prev, p) in enumerate(zip(seq, seq[1:]), 1)
-    )
+    for k, (prev, p) in enumerate(zip(seq, seq[1:]), 1):
+        m = 1 if relation == POLAR_UNIT else -k
+        lhs = [(j - k) * c * prev.den for j, c in enumerate(p.num)]
+        while lhs and not lhs[-1]:  # x^k drops out
+            lhs.pop()
+        if lhs != [m * p.den * c for c in prev.num]:
+            return False
+    return True

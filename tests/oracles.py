@@ -8,7 +8,7 @@ import math
 import random
 from fractions import Fraction
 
-from turanstab import polycore, stability
+from turanstab import polycore, sequences, stability
 from turanstab.harness import DEFAULT_SEED
 from turanstab.polycore import Poly, int_mul, int_primitive, int_pseudo_rem
 from turanstab.stability import INCONCLUSIVE, STABLE, is_weakly_hurwitz
@@ -69,26 +69,19 @@ def turan_diagonal_schoolbook(seq: list[Poly], t: int, ns) -> list[Poly]:
     return out
 
 
-# -- the type A and type H recurrences, each written out ----------------
+# -- the polar relations in Poly arithmetic ----------------------------
 
-def type_a_recurrence(a, b, c, k_max: int) -> list[Poly]:
-    """P_0 = 1, P_{k+1} = a*(x+b)*(P_k' + c_k*P_k), step by step."""
-    x_plus_b = Poly([b, 1])
-    seq = [Poly([1])]
-    for k in range(k_max):
-        p = seq[-1]
-        seq.append((x_plus_b * (p.derivative() + p.scale(c[k]))).scale(a))
-    return seq
-
-
-def type_h_recurrence(a, b, c, k_max: int) -> list[Poly]:
-    """P_0 = 1, P_{k+1} = c*((b - a*x)*P_k + P_k'), step by step."""
-    b_minus_ax = Poly([b, -a])
-    seq = [Poly([1])]
-    for _ in range(k_max):
-        p = seq[-1]
-        seq.append((b_minus_ax * p + p.derivative()).scale(c))
-    return seq
+def verify_relation_reference(seq: list[Poly], relation: str) -> bool:
+    """``sequences.verify_relation`` with each side a normalised Poly:
+    (x*D - k) P_k against P_{k-1} (``polar_unit``) or -k * P_{k-1}
+    (``polar_scaled``)."""
+    if relation not in (sequences.POLAR_UNIT, sequences.POLAR_SCALED):
+        raise ValueError(f"unknown relation {relation!r}")
+    return all(
+        p.derivative().shift_x(1) - p.scale(k)
+        == (prev if relation == sequences.POLAR_UNIT else prev.scale(-k))
+        for k, (prev, p) in enumerate(zip(seq, seq[1:]), 1)
+    )
 
 
 # -- Sturm chains as polynomials ---------------------------------------

@@ -34,10 +34,10 @@ from turanstab.sequences import POLAR_UNIT
 
 from oracles import (
     RealRootCounter,
+    first_order_reference,
     is_squarefree,
     oracle_agreement,
     random_squarefree_poly,
-    type_a_recurrence,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -403,6 +403,17 @@ class TestReports:
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
 
 
+def _t0_sequence(t0: Poly) -> list[Poly]:
+    """P_0..P_3 with T_0 = t0 and a T_1 the Legendre suite passes when
+    t0(0) != 0, so only T_0 can refute: P_0 = 1, P_1 = x and P_2 = x^2 - t0
+    give T_0 = P_1^2 - P_0 P_2 = t0, and P_3 = (P_2^2 - c (1 - x^2)) / x
+    with c = P_2(0)^2 gives T_1 = P_2^2 - P_1 P_3 = c (1 - x^2)."""
+    p2 = Poly([0, 0, 1]) - t0
+    c = p2(0) ** 2
+    p3 = (p2 * p2 - Poly([c, 0, -c])).exact_div(Poly.x())
+    return [Poly.one(), Poly.x(), p2, p3]
+
+
 class TestSuites:
     def test_fisk(self):
         assert verify_fisk_counterexample()
@@ -422,15 +433,46 @@ class TestSuites:
         Poly([1, 0, -1]) * Poly([6, -5, 1]),  # q = (x - 2)(x - 3), q(0) > 0
         Poly([1, 0, -1]) * Poly([-1, 0, -1]),  # q = -(x^2 + 1), no real zero
         Poly(),  # q = 0
-    ], ids=["inexact", "real-zeros", "negative", "zero"])
+        Poly([1, 0, -1]) * Poly([4, -4, 1]),  # q = (x - 2)^2, q(0) > 0
+    ], ids=["inexact", "real-zeros", "negative", "zero", "double-zero"])
     def test_legendre_refutes_a_bad_expression(self, monkeypatch, t0):
-        # P_0 = 1, P_1 = 0, P_2 = -t0 give T_0 = P_1^2 - P_0 P_2 = t0
-        seq = [Poly.one(), Poly(), -t0, Poly.one()]
-        monkeypatch.setattr(sequences, "legendre", lambda k_max: seq)
+        monkeypatch.setattr(sequences, "legendre", lambda k_max: _t0_sequence(t0))
         assert verify_legendre_turan(1) is False
+
+    def test_legendre_passes_the_good_expression_of_that_setup(self, monkeypatch):
+        # the control: T_0 = 1 - x^2, and T_1 = 1 - x^2
+        t0 = Poly([1, 0, -1])
+        monkeypatch.setattr(sequences, "legendre", lambda k_max: _t0_sequence(t0))
+        assert verify_legendre_turan(1) is True
+
+    def test_legendre_one_chain_count_is_the_sturm_count(self):
+        # V(-inf) - V(+inf) along the chain of (q, q') counts the distinct
+        # real zeros of q, as the chain of q's squarefree part does
+        seq = sequences.legendre(52)
+        for k in range(51):
+            q = expressions.turan(seq, k).exact_div(Poly([1, 0, -1]))
+            _, _, _, v_plus, v_minus = stability._halfplane_data(
+                q.num, q.derivative().num)
+            assert v_minus - v_plus == stability._real_zero_count(q)[2] == 0, k
 
     def test_wronskian_strip_small(self):
         assert verify_wronskian_strip(20, seed=DEFAULT_SEED)
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
+    def test_wronskian_inputs_are_the_drawn_root_products(self, monkeypatch, seed):
+        # the suite's integer-list products are prod (x - r) over the roots
+        # a Poly reference draws from the same seed, in the same order
+        seen, wronskian = [], expressions.wronskian
+        monkeypatch.setattr(expressions, "wronskian",
+                            lambda f: seen.append(f) or wronskian(f))
+        assert verify_wronskian_strip(100, seed=seed)
+        rng, want = random.Random(seed), []
+        for _ in range(100):
+            poly = Poly.one()
+            for _ in range(rng.randint(1, 10)):
+                poly = poly * Poly([-harness.random_rational(rng), 1])
+            want.append(poly)
+        assert seen == want
 
     def test_jensen_relations_small(self):
         assert verify_jensen_laguerre_relations(10, seed=DEFAULT_SEED)
@@ -566,7 +608,9 @@ class TestBeyondTheSuites:
             a, b = rng.choice([1, 2, -1, F(1, 3)]), rng.randint(0, 3)
             c = [F(rng.randint(1, 20), rng.randint(1, 5)) for _ in range(14)]
             assert any(x > y for x, y in zip(c, c[1:]))  # not monotone
-            seq = type_a_recurrence(a, b, c, 14)
+            # type A's recurrence, m = a (x + b) and l_k = c_k, which
+            # type_a refuses for this c
+            seq = first_order_reference(Poly([a * b, a]), [Poly([v]) for v in c], 14)
             for k in range(13):
                 expr = expressions.reflect_shift(expressions.turan(seq, k), False, -b)
                 stable = stability.is_weakly_hurwitz(expr).verdict

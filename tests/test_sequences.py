@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from turanstab import sequences, stability
-from turanstab.harness import DEFAULT_SEED
+from turanstab.harness import DEFAULT_SEED, polar_unit_sequence
 from turanstab.polycore import Poly
 from turanstab.sequences import (
     POLAR_SCALED,
@@ -32,8 +32,7 @@ from oracles import (
     RealRootCounter,
     first_order_reference,
     three_term_reference,
-    type_a_recurrence,
-    type_h_recurrence,
+    verify_relation_reference,
 )
 
 
@@ -191,10 +190,14 @@ class TestOperators:
             a = rational(1, 9) * rng.choice((-1, 1))
             b = rational(0, 9)
             c = sorted(rational(1, 9) for _ in range(8))
-            assert type_a(a, b, c, 8) == type_a_recurrence(a, b, c, 8)
+            # type A: m = a (x + b), l_k = c_k
+            want = first_order_reference(Poly([a * b, a]), [Poly([v]) for v in c], 8)
+            assert type_a(a, b, c, 8) == want
             a, b = rational(1, 9), rational(-9, 9)
             c = rational(1, 9) * rng.choice((-1, 1))
-            assert type_h(a, b, c, 8) == type_h_recurrence(a, b, c, 8)
+            # type H: m = c, l_k = b - a x
+            want = first_order_reference(Poly([c]), [Poly([b, -a])] * 8, 8)
+            assert type_h(a, b, c, 8) == want
 
     @pytest.mark.parametrize("family, params, message", HYPOTHESES)
     def test_spec_and_generator_give_one_message(self, family, params, message):
@@ -208,7 +211,61 @@ class TestOperators:
         assert str(from_spec.value) == str(from_generator.value) == message
 
 
+def _relation_cases():
+    """(id, sequence, the relation it satisfies): the canonical polar-unit
+    family, Laguerre and seeded Jensen sequences, the last with a zero
+    gamma_12, so P_12 has degree 11."""
+    yield "polar_unit", polar_unit_sequence(20), POLAR_UNIT
+    yield "laguerre", laguerre(30), POLAR_SCALED
+    rng = random.Random(DEFAULT_SEED)
+    for i in range(3):
+        gamma = [F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 20))
+                 for _ in range(21)]
+        if i == 2:
+            gamma[12] = F(0)
+        yield f"jensen{i}", jensen(gamma, 20), POLAR_SCALED
+
+
+def _spoiled(seq, rng):
+    """seq with one member other than the last changed in one coefficient,
+    and seq with one member doubled.  The last member's top coefficient is
+    the one entry no polar relation constrains, so it is never the one
+    changed."""
+    i = rng.randrange(len(seq) - 1)
+    coeffs = list(seq[i].coeffs)
+    coeffs[rng.randrange(len(coeffs))] += F(1, 7)
+    yield [*seq[:i], Poly(coeffs), *seq[i + 1:]]
+    i = rng.randrange(len(seq))
+    yield [*seq[:i], seq[i].scale(2), *seq[i + 1:]]
+
+
+RELATION_CASES = list(_relation_cases())
+each_relation_case = pytest.mark.parametrize(
+    "seq, holds", [case[1:] for case in RELATION_CASES],
+    ids=[case[0] for case in RELATION_CASES])
+
+
 class TestRelations:
+    @each_relation_case
+    def test_numerator_check_matches_the_poly_reference(self, seq, holds):
+        assert verify_relation_reference(seq, holds)
+        for relation in (POLAR_UNIT, POLAR_SCALED):
+            want = verify_relation_reference(seq, relation)
+            assert verify_relation(seq, relation) == want, relation
+
+    @each_relation_case
+    def test_spoiled_members_break_the_relation(self, seq, holds):
+        rng = random.Random(len(seq))
+        for spoiled in _spoiled(seq, rng):
+            assert not verify_relation_reference(spoiled, holds)
+            for relation in (POLAR_UNIT, POLAR_SCALED):
+                want = verify_relation_reference(spoiled, relation)
+                assert verify_relation(spoiled, relation) == want, relation
+
+    def test_a_zero_gamma_drops_the_degree(self):
+        seq = {case[0]: case[1] for case in RELATION_CASES}["jensen2"]
+        assert [p.degree() for p in seq[11:14]] == [11, 11, 13]
+
     def test_laguerre_polar_scaled(self):
         assert verify_relation(laguerre(6), POLAR_SCALED)
 

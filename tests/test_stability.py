@@ -307,6 +307,18 @@ def test_real_line_answers_match_the_divide_then_chain_reference():
     }
 
 
+@pytest.mark.parametrize("f, real_zeros", [
+    (P(1, 0, 1) ** 2, 0),
+    (P(-2, 1) ** 2 * P(1, 0, 1), 1),
+], ids=["(x^2+1)^2", "(x-2)^2(x^2+1)"])
+def test_one_chain_of_f_and_its_derivative_counts_distinct_real_zeros(f, real_zeros):
+    # the chain of (f, f') ends at gcd(f, f') != 1 here, and still counts
+    # as the chain of the squarefree part does
+    _, g, _, v_plus, v_minus = stability._halfplane_data(f.num, f.derivative().num)
+    assert len(g) > 1
+    assert v_minus - v_plus == stability._real_zero_count(f)[2] == real_zeros
+
+
 @pytest.mark.parametrize(
     "f, tol, shared_steps",
     [
