@@ -34,43 +34,53 @@ coefficients that passes the gate below, ``_routh_rows`` runs the
 classical Routh recurrence r_{k+1}[j] = r_{k-1}[j+1] - mu r_k[j+1],
 mu = r_{k-1}[0] / r_k[0], on intervals [lo, hi] 2^e, each entry with its
 own exponent e, since the entries of a row span up to about 200 bits,
-and P = 5 (deg h + 1) mantissa bits, lo floored and hi ceiled.  mu is
-enclosed once per row, to P bits.  With positive entries mu f lies
-between mu_lo f_lo and mu_hi f_hi, so a new entry is bounded below by
-b_lo - mu_hi f_hi and above by b_hi - mu_lo f_lo; mu_hi f_hi is
-mu_lo f_lo plus two products by the narrow widths mu_hi - mu_lo and
-f_hi - f_lo, so an entry costs one full-width product.  Positive lower
-bounds certify h.  An upper bound <= 0 proves h not strictly stable; a
-straddle of 0, or a first entry whose lower bound rounds to 0 (mu is
-then unbounded), runs the test once more at P' = 6 (deg h + 1) bits,
-which certifies every deep cell (k <= 100, n <= 10) of Bell, reflected
-Laguerre and Bessel.  The certificate then has a closed form: the
-rotated parts of h are coprime and their chain is normal, of length
-deg h + 1, so p = deg h; since V(+-inf) <= deg h,
-2p = deg h + V(+inf) - V(-inf) forces V(+inf) = deg h and V(-inf) = 0,
-and the factor x^m multiplies every chain element, so the gcd is x^m.
-Any doubt (an entry <= 0, a straddle at P', a coefficient <= 0, an h
-outside the gate) falls through to the exact chain.
+lo floored and hi ceiled.  The two rows of h's coefficients carry
+P = 5 (deg h + 1) mantissa bits; the row formed with ``left`` rows to
+come (deg h down to 2) carries ceil(P left / (deg h + 1)), and mu is
+enclosed once per row, to that row's precision.  A row passes its
+rounding on to the rows after it, and each of them loses about as many
+bits again (Rump, Verification methods, Acta Numerica 19, 2010), so a
+row needs bits in proportion to the rows left: the six cells of the
+benchmark's deep-cells workload (Bell, reflected Laguerre and Bessel,
+degree 90-105) certify from 2.2-4.2 bits per coefficient in every row,
+and from 2.3-4.4 in the first rows when the precision falls with them.
+With positive entries mu f lies between mu_lo f_lo and mu_hi f_hi, so a
+new entry is bounded below by b_lo - mu_hi f_hi and above by
+b_hi - mu_lo f_lo; mu_hi f_hi is mu_lo f_lo plus two products by the
+narrow widths mu_hi - mu_lo and f_hi - f_lo, so an entry costs one
+full-width product.  Positive lower bounds certify h.  An upper bound
+<= 0 proves h not strictly stable; a straddle of 0, or a first entry
+whose lower bound rounds to 0 (mu is then unbounded), runs the test once
+more from P' = 6 (deg h + 1) bits, which certifies every deep cell
+(k <= 100, n <= 10) of Bell, reflected Laguerre and Bessel.  The
+certificate then has a closed form: the rotated parts of h are coprime
+and their chain is normal, of length deg h + 1, so p = deg h; since
+V(+-inf) <= deg h, 2p = deg h + V(+inf) - V(-inf) forces
+V(+inf) = deg h and V(-inf) = 0, and the factor x^m multiplies every
+chain element, so the gcd is x^m.  Any doubt (an entry <= 0, a straddle
+at P', a coefficient <= 0, an h outside the gate) falls through to the
+exact chain.
 
 The gate.  The test is tried for deg h >= 32, and for 2 <= deg h < 32
 when the primitive part of h has a coefficient at least 4 (deg h + 1)
 bits wide (a threshold of its own, not P), so a large constant factor
-does not let an input in.  A failed attempt on a zero pair just right of
-the axis adds 5-9% to the exact chain at degree 32-48 and 2-4% at
-degree 64-96, since the chain's coefficients grow with the degree and
-the rows do not.  An axis pair leaves a row of zeros that straddles at
-both precisions: times small linear factors, where the chain stays
-small, the attempt costs 1.4-2.6 times the chain at degree 32-96.
-Below degree 32 a narrow input would pay 9-48% and 1.9-2.2 times on the
-same two inputs, so it stays on the chain.  A wide input is the other
-way round: at 4 (deg h + 1) bits, four fifths of the rows' P, the chain
-carries at least that width from its first step.  The shifted Hermite
-windows of ``verify --suite thm12`` (degree <= 24, up to 938 bits) cost
-about 10 times less than on the chain, and every window of the
-Wronskian strip the gate admits is certified.  At about 4 (deg h + 1)
-bits, degree 8-31, a failed attempt costs 0.6-0.8 of the chain on a
-pair just right of the axis and 1.8-2.3 times on an axis pair, within
-what degree 32-96 already pays.
+does not let an input in.  Times prod_j (x + j/3), a failed attempt on
+a zero pair 2^-40 right of the axis adds 21% to the exact chain at
+degree 32 and 3-10% at degree 48-96, since the chain's coefficients
+grow with the degree and the rows do not.  An axis pair leaves a row of
+zeros (row deg h - 1, of one entry) that straddles at both precisions:
+times the same factors, where the chain stays small, the attempt costs
+1.8-2.4 times the chain at degree 32-96.  Below degree 32 a narrow
+input would pay 2.2-2.5 times on the axis product, so it stays on the
+chain.  A wide input is the other way round: at 4 (deg h + 1) bits,
+four fifths of the first rows' P, the chain carries at least that width
+from its first step.  The shifted Hermite windows of ``verify --suite
+thm12`` (degree <= 24, up to 938 bits) cost about 10 times less than on
+the chain, and every window of the Wronskian strip the gate admits is
+certified.  At about 4 (deg h + 1) bits (zeros -1 - j/16, degree
+24-31), a failed attempt costs 0.9-1.0 of the chain on a pair 2^-8
+right of the axis and 2.1 times on an axis pair, within what degree
+32-96 already pays.
 
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
@@ -231,29 +241,37 @@ _ROUTH_MIN_DEGREE = 32
 
 
 def _routh_rows(h: IntPoly, bits: int) -> Optional[bool]:
-    """The interval Routh test of h (every coefficient positive) with
-    ``bits`` mantissa bits per entry: True when every entry is certainly
-    positive, False when one is certainly <= 0, None when one straddles 0
-    or a first entry's lower bound rounds to 0.
+    """The interval Routh test of h (every coefficient positive): True
+    when every entry is certainly positive, False when one is certainly
+    <= 0, None when one straddles 0 or a first entry's lower bound rounds
+    to 0.
 
     The rows are those of the classical table (module docstring), one
-    enclosure of mu per row and one full-width product per entry.
+    enclosure of mu per row and one full-width product per entry.  The two
+    rows of h's coefficients carry ``bits`` mantissa bits per entry; the
+    row formed with ``left`` rows to come (len(h) - 1 down to 2), and its
+    mu, carry ceil(bits left / len(h)).
     """
 
-    def rounded(c):  # [c, c] 2^0 as [lo, hi] 2^e: floor lo, ceil hi
-        s = c.bit_length() - bits
-        return (c >> s, -(-c >> s), s) if s > 0 else (c, c, 0)
+    def rounded(lo, hi, e, p):  # [lo, hi] 2^e to p bits: floor lo, ceil hi
+        s = hi.bit_length() - p
+        return (lo >> s, -(-hi >> s), e + s) if s > 0 else (lo, hi, e)
 
-    prev = [rounded(c) for c in h[::-2]]
-    row = [rounded(c) for c in h[-2::-2]]
-    for _ in range(len(h) - 2):
-        # r_{k+1}[j] = r_{k-1}[j+1] - mu r_k[j+1] with mu = r_{k-1}[0] / r_k[0]
+    prev = [rounded(c, c, 0, bits) for c in h[::-2]]
+    row = [rounded(c, c, 0, bits) for c in h[-2::-2]]
+    n = len(h)
+    for left in range(n - 1, 1, -1):
+        # r_{k+1}[j] = r_{k-1}[j+1] - mu r_k[j+1] with mu = r_{k-1}[0] / r_k[0],
+        # to the p bits that the rows after it need (module docstring)
+        p = -(-bits * left // n)
         (a_lo, a_hi, a_e), (c_lo, c_hi, c_e) = row[0], prev[0]
         if not a_lo:  # floored to 0: mu is unbounded
             return None
-        # mu in [mu_lo, mu_lo + dmu] 2^mu_e, mu_lo about ``bits`` bits wide;
-        # t >= 0, since c_hi has at most bits + 1 bits and a_lo at least one
-        t = bits - c_hi.bit_length() + a_lo.bit_length()
+        # mu in [mu_lo, mu_lo + dmu] 2^mu_e, mu_lo about p bits wide; c_hi
+        # has up to one bit more than the precision of its row, which is at
+        # least p, so t may come out < 0, where t = 0 still floors mu_lo and
+        # ceils mu_lo + dmu
+        t = max(p - c_hi.bit_length() + a_lo.bit_length(), 0)
         mu_lo = (c_lo << t) // a_hi
         dmu = -(-(c_hi << t) // a_lo) - mu_lo
         mu_e = c_e - a_e - t
@@ -272,20 +290,21 @@ def _routh_rows(h: IntPoly, bits: int) -> Optional[bool]:
             lo, hi = b_lo - g_hi, b_hi - g_lo
             if lo <= 0:
                 return None if hi > 0 else False
-            s = hi.bit_length() - bits
+            s = hi.bit_length() - p  # rounded(lo, hi, e, p), inlined
             new.append((lo >> s, -(-hi >> s), e + s) if s > 0 else (lo, hi, e))
-        # past the end of row the entry is r_{k-1}[j+1] itself
-        new += prev[len(row):]
+        # past the end of row the entry is r_{k-1}[j+1] itself, to p bits too
+        new += [rounded(*entry, p) for entry in prev[len(row):]]
         prev, row = row, new
     return True
 
 
 def _routh_data(num: IntPoly):
     """``_halfplane_data`` of the rotated parts of num, in closed form,
-    when the interval Routh test (5 (deg h + 1) mantissa bits, 6 (deg h + 1)
-    after a straddle) certifies h = num / x^m strictly Hurwitz stable; None
-    when it does not certify, or does not try: below degree 32 it tries
-    only an h whose primitive part is at least 4 (deg h + 1) bits wide.
+    when the interval Routh test (from 5 (deg h + 1) mantissa bits in the
+    first rows, falling with the rows left; from 6 (deg h + 1) after a
+    straddle) certifies h = num / x^m strictly Hurwitz stable; None when
+    it does not certify, or does not try: below degree 32 it tries only an
+    h whose primitive part is at least 4 (deg h + 1) bits wide.
     """
     m = 0 if num[0] else next(i for i, c in enumerate(num) if c)
     d = len(num) - 1 - m
@@ -432,8 +451,9 @@ def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
     primitive part at least 4 (deg h + 1) bits wide, is certified by the
     classical Routh table in interval arithmetic instead of the chain, with
     the same certificate: one enclosed ratio per row, 5 (deg h + 1)
-    mantissa bits per entry, and 6 (deg h + 1) after a straddle (module
-    docstring).
+    mantissa bits per entry of the first two rows, falling in proportion
+    to the rows left, and 6 (deg h + 1) in the first rows after a
+    straddle (module docstring).
     """
     if f.is_zero:
         raise ValueError("zero polynomial")

@@ -888,6 +888,23 @@ def test_routh_matches_exact_chain_on_full_tier_sample():
         assert fast == exact, cell
 
 
+def test_routh_certifies_every_full_tier_cell_at_the_first_precision(monkeypatch):
+    # a precision schedule too steep for the campaigns would send cells to
+    # the retry or to the exact chain, which no verdict would show
+    kernel, calls = stability._routh_rows, []
+    monkeypatch.setattr(stability, "_routh_rows",
+                        lambda h, bits: calls.append(bits) or kernel(h, bits))
+    certified = 0
+    for cell, expr in _campaign_cells("full"):
+        if _gated_in(expr):
+            calls.clear()
+            fast = stability._routh_data(polycore.clear_denominators(expr))
+            assert fast is not None and _monic_gcd(fast) == _closed_form(expr), cell
+            assert calls == [5 * len(_stripped(expr)[1])], cell
+            certified += 1
+    assert certified == 530
+
+
 _positive = st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
 
 
@@ -1259,11 +1276,20 @@ def _traced_routh_rows(h, bits):
     return answer, rows, mus
 
 
+def _scheduled_bits(h, bits, i):
+    """The precision of row i of the kernel's table of h: ``bits`` for the
+    two rows of h's coefficients, ceil(bits left / len(h)) for the row
+    formed with left = len(h) + 1 - i rows to come."""
+    return bits if i < 2 else -(-bits * (len(h) + 1 - i) // len(h))
+
+
 @pytest.mark.parametrize("bits", [8, 16, 40])
 def test_routh_rows_enclose_the_exact_table(bits):
     # every entry [lo, hi] 2^e the kernel forms holds the exact entry of
     # the classical table, and every mu enclosure the exact ratio, so a
-    # rounding turned the wrong way shows even where the answer survives
+    # rounding turned the wrong way shows even where the answer survives;
+    # and every row is rounded to its scheduled precision (hi at most one
+    # bit wider, from the ceiling), so the schedule cannot drift unseen
     entries = ratios = 0
     for kind, h in _routh_oracle_cases():
         table = oracles.routh_table(h)
@@ -1274,6 +1300,7 @@ def test_routh_rows_enclose_the_exact_table(bits):
         for i, (row, exact) in enumerate(zip(rows, table)):
             for (lo, hi, e), x in zip(row, exact):
                 assert lo * F(2) ** e <= x <= hi * F(2) ** e, (kind, bits, i)
+                assert hi.bit_length() <= _scheduled_bits(h, bits, i) + 1, (kind, bits, i)
                 entries += 1
         for i, (mu_lo, dmu, e) in mus.items():
             mu = table[i][0] / table[i + 1][0]
