@@ -28,10 +28,14 @@ only.  Members shorter than a crossover length multiply faster
 coefficient by coefficient, so such windows keep schoolbook ``int_mul``
 products, combined coefficient by coefficient.
 
-``reflect_shift`` is the one path from an expression to the object a
-campaign cell, a verification suite or the ``turan`` command decides:
-reflected (x -> -x, used for Laguerre) and shifted (x -> x + shift, used
-for type A with shift -b) as asked.
+``reflect_shift`` is the one x -> +-x + c substitution: reflected
+(x -> -x, used for Laguerre) and shifted (x -> x + shift, used for type
+A with shift -b) as asked.  The substitution is a ring homomorphism and
+every expression a fixed rational combination of products of members,
+so building from substituted members gives the substituted expressions:
+the campaigns and the suites that run a grid substitute each member
+once, and the ``turan`` command and the half-plane checks the one
+expression they decide.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ The campaigns sweep extended Turan expressions of a family over a
 (k, n) grid and record the exact stability verdict of every cell.  The
 unit of work is one anti-diagonal k + n = t of the grid: its cells share
 the products P_{t-i} P_{t+i}, so ``expressions.turan_diagonal`` builds
-all their expressions at once.  Each expression is then reflected
-and shifted by ``expressions.reflect_shift`` as the campaign asks and
-decided with ``stability.is_weakly_hurwitz``.  With ``jobs`` > 1 the
+all their expressions at once.  A campaign reflects and shifts each
+member once, with ``expressions.reflect_shift``, before any diagonal is
+built (the ``expressions`` module docstring says why that substitutes
+every expression), and decides each expression as built with
+``stability.is_weakly_hurwitz``.  With ``jobs`` > 1 the
 diagonals are dealt into shares: the calling process decides the first
 and one forked child each other share, joined before the campaign
 returns, so no worker outlives the call.  Every false verdict is
@@ -92,19 +94,19 @@ def _diagonals(k_max: int, n_max: int):
         yield t, tuple(range(max(1, t - k_max), min(n_max, t) + 1))
 
 
-def _run_diagonal(family: str, seq: list[Poly], t: int, ns, reflect: bool,
-                  shift: Fraction) -> list[ReportRecord]:
-    """The records of the cells (t - n, n), n in ``ns``, of ``seq``.  A
-    cell's ``elapsed_ms`` is its own reflect/shift and verdict time plus an
-    equal share of the diagonal's build, so the cell times add up to the
-    work done."""
+def _run_diagonal(family: str, seq: list[Poly], t: int, ns) -> list[ReportRecord]:
+    """The records of the cells (t - n, n), n in ``ns``, of ``seq``: each
+    cell decides the expression ``turan_diagonal`` built, as it stands.  A
+    cell's ``elapsed_ms`` is its verdict time plus an equal share of the
+    diagonal's build, so the cell times add up to the work done on the
+    grid; generating and substituting the members is per-campaign work
+    and belongs to no cell."""
     start = time.perf_counter()
     exprs = turan_diagonal(seq, t, ns)
     share_ms = (time.perf_counter() - start) * 1000.0 / len(ns)
     records = []
     for n, expr in zip(ns, exprs):
         start = time.perf_counter()
-        expr = reflect_shift(expr, reflect, shift)
         if expr.is_zero:
             verdict, degree, cert = False, -1, {}
         else:
@@ -144,22 +146,23 @@ def _decide_grid(family: str, seq: list[Poly], k_max: int, n_max: int,
     """The records of every cell k <= k_max, 1 <= n <= n_max of ``seq``,
     which must reach index k_max + 2 n_max, in (k, n) order.
 
-    The unit of work is one anti-diagonal (t, ns), k + n = t, so each
-    product P_{t-i} P_{t+i} is formed once for all its cells.  The
+    The members are reflected and shifted once, before the grid is
+    dealt.  The unit of work is one anti-diagonal (t, ns), k + n = t, so
+    each product P_{t-i} P_{t+i} is formed once for all its cells.  The
     diagonals are dealt heaviest first (largest t, so largest degree 2t)
     into one share per worker: at most ``jobs``, one per diagonal and one
     per CPU this process may run on, and one where the platform cannot
     fork.  This process decides share 0 and a forked child each other
-    share (``_decide_shares``); a child inherits ``seq`` and the other
-    arguments with its share.  The records are put back in (k, n) order,
-    so they do not depend on ``jobs``.
+    share (``_decide_shares``); a child inherits the substituted members
+    with its share.  The records are put back in (k, n) order, so they
+    do not depend on ``jobs``.
     """
+    seq = [reflect_shift(p, reflect, shift) for p in seq]
     units = list(_diagonals(k_max, n_max))
     workers = min(jobs, len(units), _usable_cpus()) if hasattr(os, "fork") else 1
 
     def run_share(share):
-        return [rec for t, ns in share
-                for rec in _run_diagonal(family, seq, t, ns, reflect, shift)]
+        return [rec for t, ns in share for rec in _run_diagonal(family, seq, t, ns)]
 
     records = _decide_shares(_deal(units, workers), run_share)
     return sorted(records, key=ReportRecord.sort_key)

@@ -33,54 +33,34 @@ a Routh-reduced polynomial, again strictly stable.  For h with positive
 coefficients that passes the gate below, ``_routh_rows`` runs the
 classical Routh recurrence r_{k+1}[j] = r_{k-1}[j+1] - mu r_k[j+1],
 mu = r_{k-1}[0] / r_k[0], on intervals [lo, hi] 2^e, each entry with its
-own exponent e, since the entries of a row span up to about 200 bits,
-lo floored and hi ceiled.  The two rows of h's coefficients carry
-P = 5 (deg h + 1) mantissa bits; the row formed with ``left`` rows to
-come (deg h down to 2) carries ceil(P left / (deg h + 1)), and mu is
-enclosed once per row, to that row's precision.  A row passes its
-rounding on to the rows after it, and each of them loses about as many
-bits again (Rump, Verification methods, Acta Numerica 19, 2010), so a
-row needs bits in proportion to the rows left: the six cells of the
-benchmark's deep-cells workload (Bell, reflected Laguerre and Bessel,
-degree 90-105) certify from 2.2-4.2 bits per coefficient in every row,
-and from 2.3-4.4 in the first rows when the precision falls with them.
-With positive entries mu f lies between mu_lo f_lo and mu_hi f_hi, so a
-new entry is bounded below by b_lo - mu_hi f_hi and above by
-b_hi - mu_lo f_lo; mu_hi f_hi is mu_lo f_lo plus two products by the
-narrow widths mu_hi - mu_lo and f_hi - f_lo, so an entry costs one
-full-width product.  Positive lower bounds certify h.  An upper bound
-<= 0 proves h not strictly stable; a straddle of 0, or a first entry
-whose lower bound rounds to 0 (mu is then unbounded), runs the test once
-more from P' = 6 (deg h + 1) bits, which certifies every deep cell
-(k <= 100, n <= 10) of Bell, reflected Laguerre and Bessel.  The
-certificate then has a closed form: the rotated parts of h are coprime
-and their chain is normal, of length deg h + 1, so p = deg h; since
-V(+-inf) <= deg h, 2p = deg h + V(+inf) - V(-inf) forces
-V(+inf) = deg h and V(-inf) = 0, and the factor x^m multiplies every
-chain element, so the gcd is x^m.  Any doubt (an entry <= 0, a straddle
-at P', a coefficient <= 0, an h outside the gate) falls through to the
-exact chain.
+own exponent e, lo floored and hi ceiled.  The two rows of h's
+coefficients carry P = 5 (deg h + 1) mantissa bits; the row formed with
+``left`` rows to come (deg h down to 2) carries ceil(P left / (deg h + 1)),
+and mu is enclosed once per row, to that row's precision.  A row passes
+its rounding on to the rows after it, and each of them loses about as
+many bits again (Rump, Verification methods, Acta Numerica 19, 2010), so
+a row needs bits in proportion to the rows left.  With positive entries
+mu f lies between mu_lo f_lo and mu_hi f_hi, so a new entry is bounded
+below by b_lo - mu_hi f_hi and above by b_hi - mu_lo f_lo.  Positive
+lower bounds certify h.  An upper bound <= 0 proves h not strictly
+stable; a straddle of 0, or a first entry whose lower bound rounds to 0
+(mu is then unbounded), runs the test once more from P' = 6 (deg h + 1)
+bits.  The certificate then has a closed form: the rotated parts of h
+are coprime and their chain is normal, of length deg h + 1, so
+p = deg h; since V(+-inf) <= deg h, 2p = deg h + V(+inf) - V(-inf)
+forces V(+inf) = deg h and V(-inf) = 0, and the factor x^m multiplies
+every chain element, so the gcd is x^m.  Any doubt (an entry <= 0, a
+straddle at P', a coefficient <= 0, an h outside the gate) falls through
+to the exact chain.
 
 The gate.  The test is tried for deg h >= 32, and for 2 <= deg h < 32
 when the primitive part of h has a coefficient at least 4 (deg h + 1)
 bits wide (a threshold of its own, not P), so a large constant factor
-does not let an input in.  Times prod_j (x + j/3), a failed attempt on
-a zero pair 2^-40 right of the axis adds 21% to the exact chain at
-degree 32 and 3-10% at degree 48-96, since the chain's coefficients
-grow with the degree and the rows do not.  An axis pair leaves a row of
-zeros (row deg h - 1, of one entry) that straddles at both precisions:
-times the same factors, where the chain stays small, the attempt costs
-1.8-2.4 times the chain at degree 32-96.  Below degree 32 a narrow
-input would pay 2.2-2.5 times on the axis product, so it stays on the
-chain.  A wide input is the other way round: at 4 (deg h + 1) bits,
-four fifths of the first rows' P, the chain carries at least that width
-from its first step.  The shifted Hermite windows of ``verify --suite
-thm12`` (degree <= 24, up to 938 bits) cost about 10 times less than on
-the chain, and every window of the Wronskian strip the gate admits is
-certified.  At about 4 (deg h + 1) bits (zeros -1 - j/16, degree
-24-31), a failed attempt costs 0.9-1.0 of the chain on a pair 2^-8
-right of the axis and 2.1 times on an axis pair, within what degree
-32-96 already pays.
+does not let an input in.  Below degree 32 a failed attempt on a narrow
+input costs more, against the chain, than it does above; on a wide input
+the chain carries that width from its first step, so the attempt pays.
+README ("How the verdict works") gives the measurements behind both
+rules.
 
 Everything on the verdict path is exact rational/integer arithmetic; the
 only floating point in this module lives in the independent companion-
@@ -300,11 +280,9 @@ def _routh_rows(h: IntPoly, bits: int) -> Optional[bool]:
 
 def _routh_data(num: IntPoly):
     """``_halfplane_data`` of the rotated parts of num, in closed form,
-    when the interval Routh test (from 5 (deg h + 1) mantissa bits in the
-    first rows, falling with the rows left; from 6 (deg h + 1) after a
-    straddle) certifies h = num / x^m strictly Hurwitz stable; None when
-    it does not certify, or does not try: below degree 32 it tries only an
-    h whose primitive part is at least 4 (deg h + 1) bits wide.
+    when the interval Routh test certifies h = num / x^m strictly Hurwitz
+    stable; None when it does not, or when the gate keeps h out (module
+    docstring).
     """
     m = 0 if num[0] else next(i for i, c in enumerate(num) if c)
     d = len(num) - 1 - m
@@ -441,19 +419,14 @@ def isolate_extreme_roots(
 # -- stability verdicts -----------------------------------------------
 
 def is_weakly_hurwitz(f: Poly) -> StabilityCertificate:
-    """Exact weak Hurwitz stability certificate for a real polynomial.
+    """Exact weak Hurwitz stability certificate for a non-zero real
+    polynomial: the verdict is true iff f has no zero with Re > 0.
 
-    Verdict is true iff f has no zero with Re > 0: all zeros of the rotated
-    polynomial must sit in the closed upper half-plane, i.e. the gcd of the
-    rotated parts must be fully real-rooted and the quotient's open-upper
-    count must exhaust its degree.  A strictly stable h = f / x^m with
-    positive coefficients, of degree >= 32 or of degree 2-31 with a
-    primitive part at least 4 (deg h + 1) bits wide, is certified by the
-    classical Routh table in interval arithmetic instead of the chain, with
-    the same certificate: one enclosed ratio per row, 5 (deg h + 1)
-    mantissa bits per entry of the first two rows, falling in proportion
-    to the rows left, and 6 (deg h + 1) in the first rows after a
-    straddle (module docstring).
+    All zeros of the rotated polynomial must sit in the closed upper
+    half-plane: the gcd of the rotated parts must be real-rooted and the
+    quotient's open-upper count must exhaust its degree.  An input that
+    the interval Routh test certifies (module docstring) gets the same
+    certificate in closed form, without the chain.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")

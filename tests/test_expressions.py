@@ -392,6 +392,22 @@ class TestBuildExpression:
         )
         assert reflect_shift(extended_turan(seq, 2, 2), True, F(1, 2)) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(window=windows(), reflect=st.booleans(),
+           shift=st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=12)))
+    def test_substituting_the_members_substitutes_the_diagonal(
+            self, window, reflect, shift):
+        # x -> +-x + c is a ring homomorphism and each expression a fixed
+        # rational combination of products, so a campaign may substitute
+        # the members once instead of every expression; the windows run
+        # the schoolbook, packed and stride-2 paths, and a shifted parity
+        # window the stride-1 one
+        members, top = window
+        ns = range(1, top + 1)
+        moved = [reflect_shift(p, reflect, shift) for p in members]
+        assert turan_diagonal(moved, top, ns) == [
+            reflect_shift(e, reflect, shift) for e in turan_diagonal(members, top, ns)]
+
     @pytest.mark.parametrize("reflect", [False, True])
     def test_string_shift(self, reflect):
         # a shift given as a string, as Poly coefficients may be, works on

@@ -145,6 +145,22 @@ class TestCampaign:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_members_are_substituted_once(self, monkeypatch):
+        # one reflect_shift per member, k_max + 2 n_max + 1 of them, and
+        # none per cell: the cells decide the expressions as built
+        spec = sequences.spec("type_a", [1, F(1, 2), *range(1, 13)])
+        calls = []
+
+        def counting(p, reflect, shift):
+            calls.append(p)
+            return expressions.reflect_shift(p, reflect, shift)
+
+        monkeypatch.setattr(harness, "reflect_shift", counting)
+        cfg = CampaignConfig(family=spec, k_max=3, n_max=2, reflect=True,
+                             shift=F(-1, 2))
+        assert len(run_campaign(cfg)) == 8
+        assert calls == sequences.generate(spec, 3 + 2 * 2)
+
     def test_counterexample_flagging(self, monkeypatch):
         def spoiler(seq, t, ns):
             # plant a right-half-plane root to exercise the flag path
@@ -382,6 +398,23 @@ class TestReports:
         k_max, n_max = harness.TIER_LIMITS["desk"]
         cfg = CampaignConfig(family=sequences.spec(family), k_max=k_max,
                              n_max=n_max, reflect=reflect, jobs=2)
+        path = tmp_path / f"{name}-desk.jsonl"
+        emit_reports(run_campaign(cfg), path)
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
+
+    @pytest.mark.parametrize("family, params, shift, name", [
+        ("bessel", (), F(1, 2), "bessel-shifted"),
+        # 26 false cells at n = 2, 3; degrees reach 56, so both the
+        # interval Routh path and the exact chain decide shifted cells
+        ("type_a", (1, F(1, 2), *(1 + i // 2 for i in range(31))), F(-1, 2),
+         "type-a-shifted"),
+    ])
+    def test_shifted_desk_report_matches_golden(self, tmp_path, family, params,
+                                                shift, name):
+        # written with jobs=1 by `turanstab campaign --family bessel --shift
+        # 1/2 --k-max 25 --n-max 3` and its type_a sibling; jobs=2 here
+        cfg = CampaignConfig(family=sequences.spec(family, params), k_max=25,
+                             n_max=3, shift=shift, jobs=2)
         path = tmp_path / f"{name}-desk.jsonl"
         emit_reports(run_campaign(cfg), path)
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
