@@ -54,7 +54,7 @@ def _emit_polys(polys, fmt: str) -> None:
 
 
 # the largest sequence index gen and turan compute, P_k or P_(k+2n): a deep
-# grid needs 220, and Laguerre, the slowest family, takes ~0.6 s to reach 500
+# grid needs P_220
 MAX_INDEX = 500
 
 

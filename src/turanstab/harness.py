@@ -289,7 +289,8 @@ def verify_fisk_counterexample() -> bool:
 
 def verify_chebyshev_closed_forms(k_max: int, n_max: int) -> bool:
     """Extended Turan expressions of both Chebyshev kinds match their
-    closed forms 2^(2n-1)/(2n)! * (1-x^2)^n and (1-x^2)^(n-1) exactly."""
+    closed forms exactly: c_n (1-x^2)^n for T and c_n (1-x^2)^(n-1) for U,
+    with the same c_n = 2^(2n-1)/(2n)! (at n = 2, U's is (1-x^2)/3)."""
     if k_max < 1 or n_max < 1:
         raise ValueError("k_max and n_max must be >= 1")
     top = 2 * n_max + k_max

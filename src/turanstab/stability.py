@@ -354,16 +354,14 @@ def isolate_extreme_roots(
     m_lo < m <= m_hi and M_lo < M <= M_hi.
 
     Both are one search for the j-th distinct real root from the left, run
-    for j = 1 and j = r, the number of distinct real roots (once if r = 1;
-    else both take the whole-chain counts of a midpoint they share from
-    one evaluation).  It bisects
-    (-B, B] for the power-of-two root bound B of the squarefree part s, on
-    integers: a point is a / 2^e, and a bracket is wider than tol when
-    (hi - lo) tol.den > tol.num 2^e.  It counts from -inf: the roots at or
-    below x number V(-inf) - V(x), and V(-inf) is read off the leading
-    signs, so no step evaluates at +-B (no root lies outside (-B, B), so
-    V(-B) = V(-inf) and V(B) = V(+inf)).  The search keeps the counts at
-    both bracket ends and isolates, then refines:
+    for j = 1 and j = r, the number of distinct real roots (once if
+    r = 1).  It bisects (-B, B] for the power-of-two root bound B of the
+    squarefree part s, on integers: a point is a / 2^e, and a bracket is
+    wider than tol when (hi - lo) tol.den > tol.num 2^e.  It counts from
+    -inf: the roots at or below x number V(-inf) - V(x), and V(-inf) is
+    read off the leading signs, so no step evaluates at +-B (no root lies
+    outside (-B, B), so V(-B) = V(-inf) and V(B) = V(+inf)).  The search
+    keeps the counts at both bracket ends and isolates, then refines:
 
     - while the j-th root is not alone in (lo, hi], a step evaluates the
       whole Sturm chain at the midpoint, and the sign of s there tells
@@ -383,7 +381,6 @@ def isolate_extreme_roots(
     if r == 0:
         raise ValueError("polynomial has no real roots")
     s, bound = chain[0], _root_bound(chain[0])
-    shared = {}  # (mid, e) -> (sign of s, roots at or below) off the whole chain
 
     def bisect(j: int) -> tuple[Fraction, Fraction]:
         # invariant: the j-th root lies in (lo, hi] / 2^e, with n_lo and
@@ -398,11 +395,9 @@ def isolate_extreme_roots(
             if n_lo == j - 1 and n_hi == j:  # the j-th root is alone
                 s_mid = _sign(int_horner(s, mid, 1 << e))
                 below = j if s_mid in (0, s_hi) else j - 1
-            elif (mid, e) in shared:
-                s_mid, below = shared[mid, e]
             else:
                 signs = [_sign(int_horner(g, mid, 1 << e)) for g in chain]
-                s_mid, below = shared[mid, e] = signs[0], v_minus - _variations(signs)
+                s_mid, below = signs[0], v_minus - _variations(signs)
             if below < j:
                 lo, n_lo = mid, below
             elif not s_mid and below == j:  # mid is the j-th root

@@ -390,6 +390,12 @@ class TestReports:
         ("laguerre", False, "laguerre"),
         ("legendre", False, "legendre"),
         ("hermite", False, "hermite"),
+        # every T cell and U's 52 cells at n = 2, 3 are flagged, their gcd of
+        # the rotated parts not real-rooted; U's 26 n = 1 cells are
+        # constants with a degree-0 certificate; the longer parity windows
+        # take the stride-2 packed diagonal
+        ("chebyshev_t", False, "chebyshev-t"),
+        ("chebyshev_u", False, "chebyshev-u"),
     ])
     def test_desk_report_matches_golden(self, tmp_path, family, reflect, name):
         # the golden files are the desk-tier reports, written with jobs=1:

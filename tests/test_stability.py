@@ -320,19 +320,19 @@ def test_one_chain_of_f_and_its_derivative_counts_distinct_real_zeros(f, real_ze
 
 
 @pytest.mark.parametrize(
-    "f, tol, shared_steps",
+    "f, tol, whole_steps",
     [
-        (hermite(13)[13], F(1, 1 << 20), 1),
-        (P(-1, 0, 1), F(1, 3), 1),  # a midpoint lands on a root
-        (P(0, 0, 0, 1) * P(-1, 1) ** 3 * P(2, 1), F(1, 1 << 20), 1),
+        (hermite(13)[13], F(1, 1 << 20), 6),
+        (P(-1, 0, 1), F(1, 3), 2),  # a midpoint lands on a root
+        (P(0, 0, 0, 1) * P(-1, 1) ** 3 * P(2, 1), F(1, 1 << 20), 3),
         # 3 and 6 share (-32, 32], (0, 32], (0, 16] and (0, 8]
-        (P(-3, 1) * P(-5, 1) * P(-6, 1), F(1, 1 << 20), 4),
+        (P(-3, 1) * P(-5, 1) * P(-6, 1), F(1, 1 << 20), 9),
         (P(-1, 1) ** 2 * P(1, 0, 1), F(1, 1 << 20), 0),  # r = 1: one search
     ],
     ids=["H_13", "x^2-1", "x^3(x-1)^3(x+2)", "(x-3)(x-5)(x-6)", "(x-1)^2(x^2+1)"],
 )
 def test_isolate_extreme_roots_evaluates_only_midpoints(
-        monkeypatch, f, tol, shared_steps):
+        monkeypatch, f, tol, whole_steps):
     calls = []
     int_horner = stability.int_horner
 
@@ -347,16 +347,14 @@ def test_isolate_extreme_roots_evaluates_only_midpoints(
     counter = RealRootCounter(f)
     bound = root_bound(counter.squarefree)
     assert all(abs(x) != bound for _, x in calls)
-    # no point gets two whole-chain evaluations
-    whole = [x for g, x in calls if g == chain[-1]]
-    assert len(whole) == len(set(whole))
     # replay both searches from their results: each step evaluates at the
     # midpoint of its bracket, the whole chain while the target root shares
-    # the bracket (unless the first search did at the same midpoint) and the
-    # squarefree part alone once the root is the only one in it, and a
-    # search ends at width <= tol or on the midpoint that is its root; with
+    # the bracket and the squarefree part alone once the root is the only
+    # one in it, and a search ends at width <= tol or on the midpoint that
+    # is its root; the searches share no evaluation, so the second repeats
+    # the first one's midpoints while their targets share a bracket; with
     # one real root the first search's bracket is returned twice
-    rest, sign_only, shared, seen = iter(calls), 0, 0, set()
+    rest, sign_only, whole = iter(calls), 0, 0
     r = counter.count(None, None)
     searches = zip((1, r), (brackets[:2], brackets[2:]))
     for j, (b_lo, b_hi) in list(searches)[: 1 if r == 1 else 2]:
@@ -365,9 +363,7 @@ def test_isolate_extreme_roots_evaluates_only_midpoints(
             mid = (lo + hi) / 2
             want = chain[:1] if counter.count(lo, hi) == 1 else chain
             sign_only += len(want) == 1
-            if len(want) > 1 and mid in seen:
-                want, shared = [], shared + 1
-            seen.add(mid)
+            whole += len(want) > 1
             assert [next(rest) for _ in want] == [(g, mid) for g in want]
             if mid == b_hi and f(mid) == 0 and counter.count(None, mid) == j:
                 lo, hi = max(lo, mid - tol), mid
@@ -376,7 +372,7 @@ def test_isolate_extreme_roots_evaluates_only_midpoints(
         assert (lo, hi) == (b_lo, b_hi)
     assert next(rest, None) is None
     assert sign_only > 0
-    assert shared == shared_steps
+    assert whole == whole_steps
     if r == 1:
         assert brackets[:2] == brackets[2:]
 
