@@ -21,8 +21,10 @@ interlacing (``interlace_check``), by the Hermite-Biehler theorem.
 The real-line questions (is the gcd real-rooted, where do the extreme
 zeros of a polynomial lie) use the classical Sturm chain of its
 squarefree part instead (``_real_zero_count``), found from gcd(f, f'): a
-squarefree f is its own, so its chain is that of (f, f'), undivided.  A
-Routh-certified verdict (below) asks none: its gcd is x^m.
+squarefree f is its own, so its chain is that of (f, f'), undivided.
+``all_roots_real`` first runs Newton's inequalities, which refute most
+non-real inputs and decide degree <= 2 with no chain.  A Routh-certified
+verdict (below) asks none: its gcd is x^m.
 
 Fast path.  Write f = x^m h with h(0) != 0 and the leading coefficient
 of h positive.  By the Routh-Hurwitz theorem (Gantmacher, The Theory of
@@ -328,8 +330,25 @@ def _real_zero_count(f: Poly) -> tuple[list[IntPoly], int, int]:
     return chain, v_minus, v_minus - v_plus
 
 
+def _newton_refutes(a: IntPoly) -> bool:
+    """Some 0 < k < n has a_k^2 k (n-k) < a_(k-1) a_(k+1) (k+1) (n-k+1)."""
+    n = len(a) - 1
+    return any(a[k] * a[k] * k * (n - k) < a[k - 1] * a[k + 1] * (k + 1) * (n - k + 1)
+               for k in range(1, n))
+
+
 def all_roots_real(f: Poly) -> bool:
-    """True iff every zero of f is real (multiplicities collapse first)."""
+    """True iff every zero of the non-zero f is real.  Newton's inequalities
+    (``_newton_refutes``; Hardy, Littlewood and Polya, Inequalities, 2.22)
+    hold for every real-rooted f, multiple zeros included, and suffice at
+    degree <= 2 (b^2 >= 4ac); only an f of degree >= 3 that meets them goes
+    to the Sturm chain of its squarefree part."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no Sturm chain")
+    if _newton_refutes(f.num):
+        return False
+    if len(f.num) <= 3:
+        return True
     chain, _, r = _real_zero_count(f)
     return r == len(chain[0]) - 1
 

@@ -609,6 +609,10 @@ def _lines_and_pairs(draw):
 @example(case=(P(0, 0, 1) * P(F(1, 2), 1) * -3, True))
 # x (x^2 + 1)^2: a zero at 0 and a repeated non-real pair
 @example(case=(P(0, 1) * P(1, 0, 1) ** 2, False))
+# Newton's inequalities hold with equality: a refutation on equality fails
+@example(case=(P(-1, 1) ** 2, True))
+@example(case=(P(0, 0, 1), True))
+@example(case=(P(2, 1) ** 3, True))
 def test_real_root_answers_match_the_interval_counter(case):
     f, real = case
     counter = RealRootCounter(f)
@@ -619,6 +623,78 @@ def test_real_root_answers_match_the_interval_counter(case):
     assert (real and is_weakly_hurwitz(f).verdict) == (
         counter.count(None, 0) == distinct
     )
+
+
+# -- Newton's inequalities before the chain ------------------------------
+
+def _counting_chains(monkeypatch):
+    """Record every ``stability._int_chain`` call in the returned list."""
+    calls, chain = [], stability._int_chain
+    monkeypatch.setattr(stability, "_int_chain",
+                        lambda *args: calls.append(args) or chain(*args))
+    return calls
+
+
+@st.composite
+def _linear_products(draw):
+    """c * prod (x - a)^m of degree 1..16 over rational a, 0 among them,
+    with multiplicities up to the whole degree and c of either sign."""
+    degree = draw(st.integers(min_value=1, max_value=16))
+    f = Poly([draw(_nonzero)])
+    while f.degree() < degree:
+        a = draw(st.one_of(st.just(F(0)), _rationals))
+        mult = draw(st.integers(min_value=1, max_value=degree - f.degree()))
+        f = f * Poly([-a, 1]) ** mult
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_linear_products())
+@example(f=P(0, 1) ** 16)
+@example(f=P(-1, 1) ** 16 * -3)
+@example(f=P(0, 0, 0, 1) * P(F(2, 3), 1) ** 13 * F(-1, 5))
+@example(f=_product("linear", range(-8, 8), 1))
+def test_newton_never_refutes_a_product_of_linear_factors(f):
+    assert not stability._newton_refutes(f.num)
+    assert all_roots_real(f)
+
+
+@pytest.mark.parametrize("f", [
+    P(1, 0, 1),
+    P(0, 1) * P(1, 0, 1) ** 2,
+    P(1, 1, 1, 1, 1),
+    P(1, 0, 1) * P(-2, 1) ** 2,
+], ids=["x^2+1", "x(x^2+1)^2", "1+x+...+x^4", "(x^2+1)(x-2)^2"])
+def test_newton_refutes_without_a_chain(monkeypatch, f):
+    calls = _counting_chains(monkeypatch)
+    assert stability._newton_refutes(f.num)
+    assert not all_roots_real(f)
+    assert calls == []
+
+
+def test_a_non_real_cubic_that_newton_passes_reaches_the_chain(monkeypatch):
+    # (2x + 2)^3 - 1: one real zero; the k = 2 inequality holds with equality
+    f = P(7, 24, 24, 8)
+    assert f == P(2, 2) ** 3 - P(1)
+    calls = _counting_chains(monkeypatch)
+    assert not stability._newton_refutes(f.num)
+    assert not all_roots_real(f)
+    assert calls
+    assert RealRootCounter(f).count(None, None) == 1
+
+
+def test_linears_and_quadratics_decided_without_a_chain(monkeypatch):
+    calls, answers = _counting_chains(monkeypatch), set()
+    grid = range(-4, 5)
+    inputs = [P(b, a) for a in grid if a for b in grid]
+    inputs += [P(c, b, a) for a in grid if a for b in grid for c in grid]
+    for f in inputs:
+        counter = RealRootCounter(f)
+        real = counter.count(None, None) == counter.squarefree.degree()
+        assert all_roots_real(f) == real, f
+        answers.add((f.degree(), real))
+    assert answers == {(1, True), (2, True), (2, False)}
+    assert calls == []
 
 
 @st.composite
